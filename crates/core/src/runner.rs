@@ -9,11 +9,13 @@
 //!
 //! The copies are embarrassingly parallel, so the single-copy building
 //! blocks are public: [`run_main_copy`] / [`run_ideal_copy`] execute one
-//! copy with its deterministic derived seed, and [`aggregate_copies`] folds
-//! any set of per-copy results into a [`TriangleEstimation`] exactly as the
-//! sequential loop does. `degentri-engine` schedules those same building
-//! blocks across worker threads, which is why its results are bit-identical
-//! to this sequential runner.
+//! copy with its deterministic derived seed — by driving the estimator's
+//! stage object ([`crate::MainCopyStages`] / [`crate::IdealCopyStages`])
+//! one pass per sweep — and [`aggregate_copies`] folds any set of per-copy
+//! results into a [`TriangleEstimation`] exactly as the copy loop here
+//! does. `degentri-engine` schedules those same building blocks and stage
+//! objects across worker threads, which is why its results are
+//! bit-identical to this runner.
 
 use degentri_stream::{EdgeStream, ShardedStream, SpaceMeter, SpaceReport, DEFAULT_BATCH_SIZE};
 
@@ -22,7 +24,6 @@ use crate::estimator::{MainEstimator, MainOutcome};
 use crate::ideal::{IdealEstimator, IdealOutcome};
 use crate::median_of_means::median_of_means;
 use crate::oracle::DegreeOracle;
-use crate::scratch::EstimatorScratch;
 use crate::Result;
 
 /// Golden-ratio multiplier deriving per-copy seeds for the main estimator.
@@ -52,37 +53,27 @@ pub fn run_main_copy<S: EdgeStream + ?Sized>(
     config: &EstimatorConfig,
     copy: usize,
 ) -> Result<MainOutcome> {
-    run_main_copy_with(
-        stream,
-        config,
-        copy,
-        DEFAULT_BATCH_SIZE,
-        &mut EstimatorScratch::new(),
-    )
+    run_main_copy_with(stream, config, copy, DEFAULT_BATCH_SIZE)
 }
 
-/// [`run_main_copy`] with an explicit chunk size and a reusable per-worker
-/// scratch arena — what a scheduler executing many copies on one thread
-/// should call, so table allocations happen once per worker instead of once
-/// per copy. Bit-identical to [`run_main_copy`] for any arguments.
+/// [`run_main_copy`] with an explicit chunk size. Bit-identical to
+/// [`run_main_copy`] for any chunk size.
 pub fn run_main_copy_with<S: EdgeStream + ?Sized>(
     stream: &S,
     config: &EstimatorConfig,
     copy: usize,
     batch_size: usize,
-    scratch: &mut EstimatorScratch,
 ) -> Result<MainOutcome> {
     MainEstimator::new(config.clone()).run_seeded_with(
         stream,
         main_copy_seed(config.seed, copy),
         batch_size,
-        scratch,
     )
 }
 
-/// [`run_main_copy`] over a sharded snapshot view: the order-insensitive
-/// passes run shard-parallel on up to `shard_workers` threads, with
-/// per-shard accumulators merged in shard order — bit-identical to
+/// [`run_main_copy`] over a sharded snapshot view: all six passes run
+/// shard-parallel on up to `shard_workers` threads, with per-shard
+/// accumulators merged in shard order — bit-identical to
 /// [`run_main_copy`] over the same edges at any shard/worker count.
 pub fn run_main_copy_sharded(
     sharded: &ShardedStream<'_>,
@@ -90,14 +81,12 @@ pub fn run_main_copy_sharded(
     copy: usize,
     batch_size: usize,
     shard_workers: usize,
-    scratch: &mut EstimatorScratch,
 ) -> Result<MainOutcome> {
     MainEstimator::new(config.clone()).run_seeded_sharded(
         sharded,
         main_copy_seed(config.seed, copy),
         batch_size,
         shard_workers,
-        scratch,
     )
 }
 
@@ -113,25 +102,17 @@ where
     S: EdgeStream + ?Sized,
     O: DegreeOracle + Sync,
 {
-    run_ideal_copy_with(
-        stream,
-        oracle,
-        config,
-        copy,
-        DEFAULT_BATCH_SIZE,
-        &mut EstimatorScratch::new(),
-    )
+    run_ideal_copy_with(stream, oracle, config, copy, DEFAULT_BATCH_SIZE)
 }
 
-/// [`run_ideal_copy`] with an explicit chunk size and a reusable scratch
-/// arena. Bit-identical to [`run_ideal_copy`] for any arguments.
+/// [`run_ideal_copy`] with an explicit chunk size. Bit-identical to
+/// [`run_ideal_copy`] for any chunk size.
 pub fn run_ideal_copy_with<S, O>(
     stream: &S,
     oracle: &O,
     config: &EstimatorConfig,
     copy: usize,
     batch_size: usize,
-    scratch: &mut EstimatorScratch,
 ) -> Result<IdealOutcome>
 where
     S: EdgeStream + ?Sized,
@@ -139,15 +120,13 @@ where
 {
     let mut copy_config = config.clone();
     copy_config.seed = ideal_copy_seed(config.seed, copy);
-    IdealEstimator::new(copy_config).run_with(stream, oracle, batch_size, scratch)
+    IdealEstimator::new(copy_config).run_with(stream, oracle, batch_size)
 }
 
-/// [`run_ideal_copy`] over a sharded snapshot view: the shardable passes —
-/// the closure pass in [`crate::RngMode::Sequential`], all three passes in
-/// [`crate::RngMode::Counter`] — run shard-parallel on up to
-/// `shard_workers` threads, with per-shard accumulators merged in shard
-/// order. Bit-identical to [`run_ideal_copy`] over the same edges at any
-/// shard/worker count.
+/// [`run_ideal_copy`] over a sharded snapshot view: all three passes run
+/// shard-parallel on up to `shard_workers` threads, with per-shard
+/// accumulators merged in shard order. Bit-identical to
+/// [`run_ideal_copy`] over the same edges at any shard/worker count.
 pub fn run_ideal_copy_sharded<O>(
     sharded: &ShardedStream<'_>,
     oracle: &O,
@@ -155,20 +134,13 @@ pub fn run_ideal_copy_sharded<O>(
     copy: usize,
     batch_size: usize,
     shard_workers: usize,
-    scratch: &mut EstimatorScratch,
 ) -> Result<IdealOutcome>
 where
     O: DegreeOracle + Sync,
 {
     let mut copy_config = config.clone();
     copy_config.seed = ideal_copy_seed(config.seed, copy);
-    IdealEstimator::new(copy_config).run_sharded(
-        sharded,
-        oracle,
-        batch_size,
-        shard_workers,
-        scratch,
-    )
+    IdealEstimator::new(copy_config).run_sharded(sharded, oracle, batch_size, shard_workers)
 }
 
 /// One copy's contribution to a multi-copy aggregate: what

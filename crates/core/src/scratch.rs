@@ -14,11 +14,10 @@
 //! vertex id to a dense slot index (counters and adjacency lists are plain
 //! slot-indexed vectors), and edge-membership state becomes an
 //! [`EdgeProbeSet`]: a sorted `u64` key vector probed by binary search with
-//! a parallel hit bitmap. One [`EstimatorScratch`] bundles them; a worker
-//! allocates it once and reuses it across all passes of all copies it
-//! executes, so after the first copy the hot loops perform **no per-edge
-//! heap allocation** (the per-copy/per-pass `reset` calls only clear or
-//! grow the same buffers).
+//! a parallel hit bitmap. The stage objects own one of each and build
+//! them between passes, so the pass loops perform **no per-edge heap
+//! allocation** (the per-pass `reset` calls only clear or grow the same
+//! buffers).
 
 use crate::lanes::{mix, mix_lanes, LANES};
 
@@ -407,28 +406,6 @@ impl SlotLists {
     pub fn list(&self, slot: u32) -> &[u32] {
         let s = slot as usize;
         &self.items[self.offsets[s] as usize..self.offsets[s + 1] as usize]
-    }
-}
-
-/// The per-worker scratch arena: every table the estimator hot loops need,
-/// allocated once and reused across passes and copies.
-#[derive(Debug, Default, Clone)]
-pub struct EstimatorScratch {
-    /// Vertex-keyed slots (tracked endpoints, instance bases, candidate
-    /// endpoints — one key set at a time).
-    pub vertices: VertexSlotMap,
-    /// Per-slot counters (endpoint degrees).
-    pub counts: Vec<u64>,
-    /// Edge-membership queries (closure checks of passes 4 and 6).
-    pub probes: EdgeProbeSet,
-    /// Per-slot payload lists (instances by base, candidates by endpoint).
-    pub lists: SlotLists,
-}
-
-impl EstimatorScratch {
-    /// Creates an empty scratch arena (buffers grow on first use).
-    pub fn new() -> Self {
-        EstimatorScratch::default()
     }
 }
 

@@ -1,10 +1,11 @@
-//! Resumable per-pass stage objects for the counter-mode six-pass
-//! estimator — the building block of fused (copy-shared) sweep execution.
+//! Resumable per-pass stage objects for the six-pass estimator — its one
+//! implementation, and the building block of fused (copy-shared) sweep
+//! execution.
 //!
-//! PR 3 made every pass of Algorithm 2 a *linear, order-insensitive fold*
-//! under counter-mode randomness. This module completes the consequence:
-//! instead of a monolithic `run_*_copy` call that owns its six stream
-//! sweeps, a copy becomes a [`MainCopyStages`] state machine exposing
+//! Counter-based randomness (see [`crate::rng`]) makes every pass of
+//! Algorithm 2 a *linear, order-insensitive fold*. This module draws the
+//! consequence: instead of a monolithic call that owns its six stream
+//! sweeps, a copy is a [`MainCopyStages`] state machine exposing
 //!
 //! ```text
 //!     begin_pass()  →  fold(batch)*  →  finish_pass(accumulators)
@@ -12,8 +13,8 @@
 //!
 //! per pass. Whoever owns the snapshot decides how the sweeps happen:
 //!
-//! * the standalone estimator drives one copy per sweep (sequentially or
-//!   over a sharded view) — exactly the previous behavior;
+//! * the standalone estimator and the engine's per-copy tier drive one
+//!   copy per sweep (over a plain stream or a sharded view);
 //! * the engine's **fused pass driver** executes one sweep per pass stage
 //!   and feeds every in-flight copy's fold on each chunk, collapsing
 //!   `passes × copies` snapshot traversals into `passes` — snapshot reads,
@@ -43,7 +44,7 @@ use crate::config::{DerivedParameters, EstimatorConfig};
 use crate::error::EstimatorError;
 use crate::estimator::MainOutcome;
 use crate::lanes::{blocks_of, find_sorted_lanes, LANES};
-use crate::rng::{streams, CounterRng, PickCell, RngMode};
+use crate::rng::{streams, CounterRng, PickCell};
 use crate::scratch::{EdgeProbeSet, SlotLists, VertexSlotMap};
 use crate::Result;
 
@@ -208,7 +209,7 @@ pub struct MainCopyStages {
     // Pass-1 state: seed-derived positions, sorted, then the gathered R.
     targets: Vec<(u64, u32)>,
     r_edges: Vec<Edge>,
-    // Shared lookup tables (one key set at a time, like the scratch arena).
+    // Shared lookup tables (one key set at a time).
     vertices: VertexSlotMap,
     counts: Vec<u64>,
     lists: SlotLists,
@@ -244,16 +245,9 @@ pub struct MainCopyStages {
 
 impl MainCopyStages {
     /// Prepares one copy over a stream of `m` edges and `n` vertices with
-    /// the given (already copy-derived) seed. Requires
-    /// [`RngMode::Counter`] — sequential-mode randomness is inherently
-    /// order-sensitive and cannot be staged.
+    /// the given (already copy-derived) seed.
     pub fn new(config: &EstimatorConfig, m: usize, n: usize, seed: u64) -> Result<Self> {
         config.validate()?;
-        if config.rng_mode != RngMode::Counter {
-            return Err(EstimatorError::invalid_config(
-                "stage-object execution requires RngMode::Counter",
-            ));
-        }
         if m == 0 {
             return Err(EstimatorError::EmptyStream);
         }
@@ -322,7 +316,7 @@ impl MainCopyStages {
     }
 
     /// Marks the copy as executed over sharded sweeps (reported in
-    /// [`MainOutcome::sharded_passes`]).
+    /// [`MainOutcome::sharded`]).
     pub fn set_sharded(&mut self, sharded: bool) {
         self.sharded = sharded;
     }
@@ -1183,7 +1177,7 @@ impl MainCopyStages {
             estimate,
             passes: Self::PASSES,
             pass_nanos: self.pass_nanos,
-            sharded_passes: [self.sharded; 6],
+            sharded: self.sharded,
             space: self.meter.report(),
             r,
             inner_samples: self.instances.len(),

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use degentri_core::{EstimatorConfig, EstimatorScratch, MainEstimator};
+use degentri_core::{EstimatorConfig, MainEstimator};
 use degentri_stream::{MemoryStream, StreamOrder, DEFAULT_BATCH_SIZE};
 
 struct CountingAllocator;
@@ -73,22 +73,21 @@ fn hot_loops_do_not_allocate_per_edge() {
     let small_stream = MemoryStream::from_graph(&small, StreamOrder::UniformRandom(3));
     let large_stream = MemoryStream::from_graph(&large, StreamOrder::UniformRandom(3));
 
-    let mut scratch = EstimatorScratch::new();
-    let run = |stream: &MemoryStream, n: usize, scratch: &mut EstimatorScratch| {
+    let run = |stream: &MemoryStream, n: usize| {
         MainEstimator::new(wheel_config(n))
-            .run_seeded_with(stream, 42, DEFAULT_BATCH_SIZE, scratch)
+            .run_seeded_with(stream, 42, DEFAULT_BATCH_SIZE)
             .unwrap()
     };
 
-    // Warm-up: grows the scratch tables to steady-state size.
-    run(&small_stream, small_n, &mut scratch);
-    run(&large_stream, large_n, &mut scratch);
+    // Warm-up: settles any lazily initialized process state.
+    run(&small_stream, small_n);
+    run(&large_stream, large_n);
 
     let ((), small_allocs) = allocations_during(|| {
-        run(&small_stream, small_n, &mut scratch);
+        run(&small_stream, small_n);
     });
     let ((), large_allocs) = allocations_during(|| {
-        run(&large_stream, large_n, &mut scratch);
+        run(&large_stream, large_n);
     });
 
     // The large graph streams 60k more edges per pass (× 6 passes). If any
@@ -105,27 +104,25 @@ fn hot_loops_do_not_allocate_per_edge() {
 }
 
 #[test]
-fn scratch_reuse_reaches_a_steady_state() {
+fn repeat_runs_reach_a_steady_state() {
     let g = degentri_gen::wheel(4_000).unwrap();
     let stream = MemoryStream::from_graph(&g, StreamOrder::UniformRandom(9));
     let estimator = MainEstimator::new(wheel_config(4_000));
-    let mut scratch = EstimatorScratch::new();
 
     let (_, cold) = allocations_during(|| {
         estimator
-            .run_seeded_with(&stream, 1, DEFAULT_BATCH_SIZE, &mut scratch)
+            .run_seeded_with(&stream, 1, DEFAULT_BATCH_SIZE)
             .unwrap()
     });
     let (_, warm) = allocations_during(|| {
         estimator
-            .run_seeded_with(&stream, 1, DEFAULT_BATCH_SIZE, &mut scratch)
+            .run_seeded_with(&stream, 1, DEFAULT_BATCH_SIZE)
             .unwrap()
     });
-    // Identical seed and stream: the second run does the same work but the
-    // scratch tables already exist, so it must not allocate more than the
-    // first (and in practice allocates strictly less).
+    // Identical seed and stream: the second run does the same work, so it
+    // must not allocate more than the first.
     assert!(
         warm <= cold,
-        "scratch reuse should not increase allocations: cold {cold}, warm {warm}"
+        "a repeat run should not increase allocations: cold {cold}, warm {warm}"
     );
 }

@@ -16,49 +16,41 @@
 //! of the tracked vertex. [`DynamicTriangleEstimator`] wires those pieces
 //! into the same four-pass skeleton as the insert-only estimator.
 //!
-//! # Randomness regimes and sharding
+//! # Randomness and sharding
 //!
-//! Like the insert-only estimators, the turnstile estimator runs in one of
-//! two distribution-identical regimes selected by
-//! [`DynamicEstimatorConfig::rng_mode`]:
-//!
-//! * [`RngMode::Sequential`] (the default) draws every sketch seed and
-//!   every degree-proportional instance pick from one stateful PRNG
-//!   consumed in a fixed order — the consumption order of earlier
-//!   releases (the ℓ0 level rule is now computed in exact integer
-//!   arithmetic, which can differ from the old float rounding in
-//!   ~2⁻⁴⁷-probability boundary windows).
-//! * [`RngMode::Counter`] derives all randomness from pure functions of
-//!   the configuration seed: sketch `k` of a bank is seeded by
-//!   `hash(seed, stream-tag, k, draw)` and the degree-proportional
-//!   instance picks come from one of two rules selected by
-//!   [`CounterSelection`] — the default prefix-sum inverse CDF
-//!   (`O(log r)` per instance) or the `WeightedPickCell` priority sweep of
-//!   `degentri_core::rng` (`O(r)` per instance, kept as the test oracle).
-//!   Counter-mode copies execute through the resumable stage objects of
-//!   [`crate::stages`] — the same implementation whether a copy runs
-//!   standalone, sharded, or inside the engine's fused sweep cohorts.
+//! Like the insert-only estimators, the turnstile estimator derives all
+//! randomness from pure functions of the configuration seed (see
+//! `degentri_core::rng`): sketch `k` of a bank is seeded by
+//! `hash(seed, stream-tag, k, draw)` and the degree-proportional instance
+//! picks come from one of two rules selected by [`CounterSelection`] — the
+//! default prefix-sum inverse CDF (`O(log r)` per instance) or the
+//! `WeightedPickCell` priority sweep of `degentri_core::rng` (`O(r)` per
+//! instance, kept as the test oracle). Every copy executes through the
+//! resumable stage object of [`crate::stages`] — the same implementation
+//! whether a copy runs standalone, sharded, or inside the engine's fused
+//! sweep cohorts.
 //!
 //! One subtlety distinguishes the turnstile port from the insert-only
-//! counter mode: the **per-update** randomness of a sketch must be keyed by
+//! estimators: the **per-update** randomness of a sketch must be keyed by
 //! the *edge*, not by the update's stream position — an insertion and a
 //! later deletion of the same edge must hash identically or they would not
 //! cancel. The per-update work is therefore a deterministic **linear**
-//! function of the update multiset in both regimes, which is exactly what
-//! makes every pass an order-insensitive fold: a sharded pass clones one
-//! configured sketch bank per shard, folds each contiguous update shard,
-//! and merges the per-shard banks (sketch sums are exact, signed counters
-//! add) **bit-identically** at any shard or worker count. Stream positions
-//! are still threaded through the folds — they are the carrier the
-//! insert-only passes key on — but the turnstile decisions they feed
-//! (instance selection) happen at positions *within `R`*, which are stable
-//! under deletions.
+//! function of the update multiset, which is exactly what makes every pass
+//! an order-insensitive fold: a sharded pass folds each contiguous update
+//! shard into its own accumulator and merges the per-shard accumulators
+//! (sketch sums are exact, signed counters add) **bit-identically** at any
+//! shard or worker count. Stream positions are still threaded through the
+//! folds — they are the carrier the insert-only passes key on — but the
+//! turnstile decisions they feed (instance selection) happen at positions
+//! *within `R`*, which are stable under deletions.
 //!
-//! Counter mode additionally lets every ℓ0 bank share one *fingerprint
-//! base* `z` (see [`L0Sampler::with_fingerprint_base`]): the modular
-//! exponentiation `z^edge` — by far the most expensive part of a sketch
-//! update — is computed once per update and fanned out to the whole bank,
-//! instead of once per recovery cell.
+//! Every ℓ0 bank shares one *fingerprint base* `z` (see
+//! [`L0Sampler::with_fingerprint_base`]): the modular exponentiation
+//! `z^edge` — by far the most expensive part of a sketch update — is
+//! computed once per update and fanned out to the whole bank, instead of
+//! once per recovery cell.
+//!
+//! [`L0Sampler::with_fingerprint_base`]: degentri_sketch::L0Sampler::with_fingerprint_base
 //!
 //! The estimator counts triangles *incident* to the sampled edges (and
 //! divides by three); porting the assignment rule of Algorithm 3 would
@@ -71,22 +63,17 @@
 use std::time::Instant;
 
 use degentri_core::rng::RngMode;
-use degentri_graph::{Edge, VertexId};
 use degentri_obs::PassTally;
-use degentri_sketch::L0Sampler;
 use degentri_stream::{
-    DynamicEdgeStream, EdgeUpdate, ShardedDynamicStream, SpaceMeter, SpaceReport,
-    DEFAULT_BATCH_SIZE,
+    DynamicEdgeStream, ShardedDynamicStream, SpaceMeter, SpaceReport, DEFAULT_BATCH_SIZE,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::error::DynamicError;
 use crate::stages::{DynamicCopyStages, DynamicStageAcc};
 use crate::Result;
 
-/// How counter-mode runs pick their degree-proportional instances from
-/// the recovered edge sample `R`.
+/// How a copy picks its degree-proportional instances from the recovered
+/// edge sample `R`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CounterSelection {
     /// Prefix-sum inverse CDF over position-keyed uniforms: pick `i`
@@ -118,19 +105,11 @@ pub struct DynamicEstimatorConfig {
     pub inner_constant: f64,
     /// Number of independent copies whose median is reported.
     pub copies: usize,
-    /// PRNG seed.
+    /// Randomness seed.
     pub seed: u64,
     /// Hard cap on `r` and the inner-instance count.
     pub max_samples: usize,
-    /// How the estimator consumes randomness: [`RngMode::Sequential`] keeps
-    /// the stateful-PRNG behavior of earlier releases (bit-compatible);
-    /// [`RngMode::Counter`] derives sketch seeds and instance picks from
-    /// keyed counter hashes, which is what lets the engine shard a copy's
-    /// passes (see the module docs).
-    pub rng_mode: RngMode,
-    /// The counter-mode instance-selection rule (ignored in
-    /// [`RngMode::Sequential`], which keeps its stateful inverse-CDF
-    /// picks).
+    /// The instance-selection rule.
     pub counter_selection: CounterSelection,
 }
 
@@ -147,7 +126,6 @@ impl DynamicEstimatorConfig {
             copies: 3,
             seed: 0,
             max_samples: 200_000,
-            rng_mode: RngMode::Sequential,
             counter_selection: CounterSelection::PrefixCdf,
         }
     }
@@ -164,7 +142,7 @@ impl DynamicEstimatorConfig {
         self
     }
 
-    /// Sets the PRNG seed.
+    /// Sets the randomness seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -183,15 +161,16 @@ impl DynamicEstimatorConfig {
         self
     }
 
-    /// Selects the randomness regime (the default is
-    /// [`RngMode::Sequential`] for back-compatibility; the engine forces
-    /// [`RngMode::Counter`] onto its jobs unless told otherwise).
-    pub fn with_rng_mode(mut self, mode: RngMode) -> Self {
-        self.rng_mode = mode;
+    /// Accepts the randomness regime and changes nothing:
+    /// [`RngMode::Counter`] is the only regime, so every configuration
+    /// already runs under it. Kept so callers that name the regime
+    /// explicitly still build.
+    pub fn with_rng_mode(self, mode: RngMode) -> Self {
+        let RngMode::Counter = mode;
         self
     }
 
-    /// Selects the counter-mode instance-selection rule (the default is
+    /// Selects the instance-selection rule (the default is
     /// the `O(log r)`-per-instance [`CounterSelection::PrefixCdf`];
     /// [`CounterSelection::PrioritySweep`] keeps PR 4's `O(r)` sweep,
     /// retained as the distributional test oracle).
@@ -311,8 +290,6 @@ pub struct DynamicCopyOutcome {
     /// Wall time of each of the four passes of this copy.
     pub pass_nanos: [u64; 4],
     /// Per-pass work tallies (items folded / probe hits / sketch updates).
-    /// Populated by staged counter-mode execution; all-zero on the
-    /// sequential monolithic path.
     pub pass_tallies: [PassTally; 4],
 }
 
@@ -332,9 +309,9 @@ impl PartialEq for DynamicCopyOutcome {
     }
 }
 
-/// Golden-ratio stride deriving per-copy seeds — the same derivation the
-/// sequential multi-copy loop has always used, shared with the engine so
-/// both produce identical per-copy estimates.
+/// Golden-ratio stride deriving per-copy seeds — the derivation the
+/// multi-copy loop of [`DynamicTriangleEstimator::run`] uses, shared with
+/// the engine so both produce identical per-copy estimates.
 pub fn dynamic_copy_seed(config_seed: u64, copy: usize) -> u64 {
     config_seed.wrapping_add((copy as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
@@ -357,22 +334,19 @@ pub fn run_dynamic_copy_with<S: DynamicEdgeStream + ?Sized>(
     copy: usize,
     batch_size: usize,
 ) -> Result<DynamicCopyOutcome> {
-    run_single(
+    drive_copy(
         config,
         stream,
         None,
         dynamic_copy_seed(config.seed, copy),
-        batch_size,
+        batch_size.max(1),
     )
 }
 
-/// [`run_dynamic_copy`] over a sharded snapshot view: in
-/// [`RngMode::Counter`] every pass runs shard-parallel on up to
-/// `shard_workers` threads with per-shard sketch banks and counters merged
-/// in shard order — bit-identical to the plain copy at any shard or worker
-/// count. In [`RngMode::Sequential`] the view is walked in global order
-/// (sharding is an engine/counter-mode feature), which is likewise
-/// bit-identical to the plain copy.
+/// [`run_dynamic_copy`] over a sharded snapshot view: every pass runs
+/// shard-parallel on up to `shard_workers` threads with per-shard sketch
+/// banks and counters merged in shard order — bit-identical to the plain
+/// copy at any shard or worker count.
 pub fn run_dynamic_copy_sharded(
     view: &ShardedDynamicStream<'_>,
     config: &DynamicEstimatorConfig,
@@ -380,21 +354,20 @@ pub fn run_dynamic_copy_sharded(
     batch_size: usize,
     shard_workers: usize,
 ) -> Result<DynamicCopyOutcome> {
-    let shard = (config.rng_mode == RngMode::Counter).then_some((view, shard_workers));
-    run_single(
+    drive_copy(
         config,
         view,
-        shard,
+        Some((view, shard_workers)),
         dynamic_copy_seed(config.seed, copy),
-        batch_size,
+        batch_size.max(1),
     )
 }
 
 /// Aggregates per-copy results (in copy order) into a [`DynamicOutcome`]:
 /// the median of the copy estimates, with the copies' space composed in
-/// parallel — exactly the aggregation of the sequential multi-copy loop,
-/// so any scheduler producing the same per-copy results produces the same
-/// outcome.
+/// parallel — exactly the aggregation of the multi-copy loop of
+/// [`DynamicTriangleEstimator::run`], so any scheduler producing the same
+/// per-copy results produces the same outcome.
 ///
 /// Every element must be a **fully finished** copy — a
 /// [`DynamicCopyOutcome`] only exists once all four passes completed, so
@@ -515,60 +488,11 @@ impl DynamicTriangleEstimator {
     }
 }
 
-/// One pass over the update stream that delivers **global positions**:
-/// `fold` receives an accumulator, the global position of a chunk's first
-/// update, and the chunk. Sequentially there is one accumulator walking the
-/// whole stream — the `template` itself, consumed in place with no copy —
-/// while over a sharded view each shard clones the template and the
-/// per-shard accumulators come back in shard order — the turnstile twin of
-/// the insert-only `positioned_pass`. Every fold the estimator runs is a
-/// linear function of the update multiset (sketch sums, signed counters),
-/// so merging the per-shard accumulators reproduces the sequential fold
-/// bit for bit.
-fn update_fold_pass<S, A>(
-    stream: &S,
-    shard: Option<(&ShardedDynamicStream<'_>, usize)>,
-    batch: usize,
-    template: A,
-    fold: impl Fn(&mut A, u64, &[EdgeUpdate]) + Sync,
-) -> Vec<A>
-where
-    S: DynamicEdgeStream + ?Sized,
-    A: Clone + Send + Sync,
-{
-    match shard {
-        Some((view, workers)) => {
-            let template = &template;
-            view.pass_sharded(workers, |s, updates| {
-                let mut acc = template.clone();
-                fold(&mut acc, view.shard_range(s).start as u64, updates);
-                acc
-            })
-        }
-        None => {
-            let mut acc = template;
-            let mut pos = 0u64;
-            stream.pass_batched(batch, &mut |chunk| {
-                fold(&mut acc, pos, chunk);
-                pos += chunk.len() as u64;
-            });
-            vec![acc]
-        }
-    }
-}
-
-/// A degree-proportional instance: the sampled edge's endpoints, ordered so
-/// `base` is the lower-degree one whose neighborhood is ℓ0-sampled.
-struct Instance {
-    base: VertexId,
-    other: VertexId,
-}
-
-/// Drives one counter-mode copy through its four stage-object passes over
-/// a plain or sharded snapshot — the standalone twin of the engine's fused
-/// sweep driver (one copy per sweep here, many there; same
+/// Drives one copy through its four stage-object passes over a plain or
+/// sharded snapshot — the standalone twin of the engine's fused sweep
+/// driver (one copy per sweep here, many there; same
 /// [`DynamicCopyStages`] implementation, hence bit-identical outcomes).
-fn drive_counter_copy<S: DynamicEdgeStream + ?Sized>(
+fn drive_copy<S: DynamicEdgeStream + ?Sized>(
     config: &DynamicEstimatorConfig,
     stream: &S,
     shard: Option<(&ShardedDynamicStream<'_>, usize)>,
@@ -605,325 +529,12 @@ fn drive_counter_copy<S: DynamicEdgeStream + ?Sized>(
     stages.finish()
 }
 
-fn run_single<S: DynamicEdgeStream + ?Sized>(
-    config: &DynamicEstimatorConfig,
-    stream: &S,
-    shard: Option<(&ShardedDynamicStream<'_>, usize)>,
-    seed: u64,
-    batch: usize,
-) -> Result<DynamicCopyOutcome> {
-    // Counter mode runs through the stage-object pipeline — the single
-    // implementation shared with the engine's fused sweep driver.
-    if config.rng_mode == RngMode::Counter {
-        return drive_counter_copy(config, stream, shard, seed, batch);
-    }
-    let shard = None;
-    let n = stream.num_vertices();
-    let mut meter = SpaceMeter::new();
-
-    // Sequential mode: one stateful PRNG consumed in the fixed order of
-    // earlier releases (sampler construction, then instance selection).
-    let mut seq_rng = StdRng::seed_from_u64(seed);
-
-    // The update count is the only size hint available before pass 1;
-    // the net edge count is measured during pass 1 and used afterwards.
-    let r_target = config.derive_r(stream.num_updates());
-
-    // Per-pass wall times for the outcome (sweep + shard merge; the
-    // offline work between passes is excluded, as in the staged path).
-    let mut seq_pass_nanos = [0u64; 4];
-
-    // ---------------- Pass 1: ℓ0 edge samplers + net edge count --------
-    let edge_universe = (n as u64).saturating_mul(n as u64).max(4);
-    let edge_templates: Vec<L0Sampler> = (0..r_target)
-        .map(|_| L0Sampler::for_universe(edge_universe, &mut seq_rng))
-        .collect();
-    let pass_started = Instant::now();
-    let folded = update_fold_pass(
-        stream,
-        shard,
-        batch,
-        (edge_templates, 0i64),
-        |(samplers, net): &mut (Vec<L0Sampler>, i64), _pos, chunk| {
-            for update in chunk {
-                let key = update.edge.key();
-                let delta = update.delta();
-                *net += delta;
-                for sampler in samplers.iter_mut() {
-                    sampler.update(key, delta);
-                }
-            }
-        },
-    );
-    let mut folded = folded.into_iter();
-    let (mut edge_samplers, mut net_edges) = folded.next().expect("at least one shard");
-    for (other_samplers, net) in folded {
-        net_edges += net;
-        for (sampler, other) in edge_samplers.iter_mut().zip(&other_samplers) {
-            sampler.merge(other);
-        }
-    }
-    seq_pass_nanos[0] = pass_started.elapsed().as_nanos() as u64;
-    meter.charge(
-        edge_samplers
-            .iter()
-            .map(L0Sampler::retained_words)
-            .sum::<u64>()
-            + 1,
-    );
-    if net_edges <= 0 {
-        return Err(DynamicError::EmptySurvivingGraph);
-    }
-    let m_net = net_edges as usize;
-
-    // Draw R from the samplers (each contributes at most one edge).
-    let r_edges: Vec<Edge> = edge_samplers
-        .iter()
-        .filter_map(|s| s.sample())
-        .filter(|&(_, count)| count > 0)
-        .map(|(idx, _)| Edge::from_key(idx))
-        .collect();
-    let r = r_edges.len();
-    if r == 0 {
-        return Err(DynamicError::EmptySurvivingGraph);
-    }
-
-    // ---------------- Pass 2: degrees of R's endpoints ----------------
-    // The tracked endpoints in one sorted slot table: a shard-mergeable
-    // vector of signed counters replaces the hash map (same degrees, and
-    // per-shard count vectors merge by exact addition).
-    let mut endpoints: Vec<u32> = r_edges
-        .iter()
-        .flat_map(|e| [e.u().raw(), e.v().raw()])
-        .collect();
-    endpoints.sort_unstable();
-    endpoints.dedup();
-    meter.charge(endpoints.len() as u64);
-    let endpoint_slots = &endpoints;
-    let pass_started = Instant::now();
-    let folded = update_fold_pass(
-        stream,
-        shard,
-        batch,
-        vec![0i64; endpoint_slots.len()],
-        |deg: &mut Vec<i64>, _pos, chunk| {
-            for update in chunk {
-                let delta = update.delta();
-                if let Ok(slot) = endpoint_slots.binary_search(&update.edge.u().raw()) {
-                    deg[slot] += delta;
-                }
-                if let Ok(slot) = endpoint_slots.binary_search(&update.edge.v().raw()) {
-                    deg[slot] += delta;
-                }
-            }
-        },
-    );
-    let mut folded = folded.into_iter();
-    let mut endpoint_degree = folded.next().expect("at least one shard");
-    for other in folded {
-        for (total, d) in endpoint_degree.iter_mut().zip(other) {
-            *total += d;
-        }
-    }
-    seq_pass_nanos[1] = pass_started.elapsed().as_nanos() as u64;
-    let degree_of = |v: VertexId| -> u64 {
-        endpoints
-            .binary_search(&v.raw())
-            .ok()
-            .map(|slot| endpoint_degree[slot].max(0) as u64)
-            .unwrap_or(0)
-    };
-    let degrees: Vec<u64> = r_edges
-        .iter()
-        .map(|e| degree_of(e.u()).min(degree_of(e.v())))
-        .collect();
-    let d_r: u64 = degrees.iter().sum();
-    meter.charge(r as u64);
-    if d_r == 0 {
-        return Err(DynamicError::EmptySurvivingGraph);
-    }
-
-    // ---------------- Instance selection (offline, between passes) -----
-    // Inverse-CDF picks from one stateful PRNG, interleaved with sampler
-    // construction exactly as in earlier releases (bit-compatible
-    // consumption order).
-    let inner = config.derive_inner(m_net, r, d_r);
-    let mut instances: Vec<Instance> = Vec::with_capacity(inner);
-    let mut neighbor_templates: Vec<L0Sampler> = Vec::with_capacity(inner);
-    let split_edge = |edge: Edge| {
-        if degree_of(edge.u()) <= degree_of(edge.v()) {
-            (edge.u(), edge.v())
-        } else {
-            (edge.v(), edge.u())
-        }
-    };
-    {
-        let cumulative: Vec<f64> = degrees
-            .iter()
-            .scan(0.0, |acc, &d| {
-                *acc += d as f64;
-                Some(*acc)
-            })
-            .collect();
-        let total_weight = *cumulative.last().unwrap_or(&0.0);
-        for _ in 0..inner {
-            if total_weight <= 0.0 {
-                break;
-            }
-            let target = seq_rng.gen_range(0.0..total_weight);
-            let idx = cumulative.partition_point(|&c| c <= target).min(r - 1);
-            let (base, other) = split_edge(r_edges[idx]);
-            instances.push(Instance { base, other });
-            neighbor_templates.push(L0Sampler::for_universe(n as u64 + 1, &mut seq_rng));
-        }
-    }
-
-    // ---------------- Pass 3: ℓ0 neighbor samplers ---------------------
-    // Instances grouped by base vertex in one CSR table (sorted bases +
-    // instance-id lists), so the per-update work is two binary searches.
-    let mut bases: Vec<u32> = instances.iter().map(|inst| inst.base.raw()).collect();
-    bases.sort_unstable();
-    bases.dedup();
-    let mut list_starts = vec![0usize; bases.len() + 1];
-    for inst in &instances {
-        let b = bases
-            .binary_search(&inst.base.raw())
-            .expect("base was interned");
-        list_starts[b + 1] += 1;
-    }
-    for b in 0..bases.len() {
-        list_starts[b + 1] += list_starts[b];
-    }
-    let mut list_ids = vec![0usize; instances.len()];
-    let mut cursor = list_starts.clone();
-    for (i, inst) in instances.iter().enumerate() {
-        let b = bases
-            .binary_search(&inst.base.raw())
-            .expect("base was interned");
-        list_ids[cursor[b]] = i;
-        cursor[b] += 1;
-    }
-    let bases_ref = &bases;
-    let list_starts_ref = &list_starts;
-    let list_ids_ref = &list_ids;
-    let pass_started = Instant::now();
-    let folded = update_fold_pass(
-        stream,
-        shard,
-        batch,
-        neighbor_templates,
-        |samplers: &mut Vec<L0Sampler>, _pos, chunk| {
-            for update in chunk {
-                let delta = update.delta();
-                for endpoint in [update.edge.u(), update.edge.v()] {
-                    if let Ok(b) = bases_ref.binary_search(&endpoint.raw()) {
-                        let candidate = update
-                            .edge
-                            .other(endpoint)
-                            .expect("endpoint belongs to edge")
-                            .index() as u64;
-                        for &i in &list_ids_ref[list_starts_ref[b]..list_starts_ref[b + 1]] {
-                            samplers[i].update(candidate, delta);
-                        }
-                    }
-                }
-            }
-        },
-    );
-    let mut folded = folded.into_iter();
-    let mut neighbor_samplers = folded.next().expect("at least one shard");
-    for other_samplers in folded {
-        for (sampler, other) in neighbor_samplers.iter_mut().zip(&other_samplers) {
-            sampler.merge(other);
-        }
-    }
-    seq_pass_nanos[2] = pass_started.elapsed().as_nanos() as u64;
-    meter.charge(
-        neighbor_samplers
-            .iter()
-            .map(|s| s.retained_words() + 2)
-            .sum::<u64>(),
-    );
-    let neighbors: Vec<Option<VertexId>> = neighbor_samplers
-        .iter()
-        .map(|s| {
-            s.sample()
-                .filter(|&(_, count)| count > 0)
-                .map(|(idx, _)| VertexId::new(idx as u32))
-        })
-        .collect();
-
-    // ---------------- Pass 4: closure counters -------------------------
-    // The distinct closure queries in one sorted key table of signed
-    // counters (shard-mergeable, like pass 2).
-    let queries: Vec<Option<u64>> = instances
-        .iter()
-        .zip(&neighbors)
-        .map(|(inst, neighbor)| match neighbor {
-            Some(w) if *w != inst.other && *w != inst.base => Some(Edge::new(inst.other, *w).key()),
-            _ => None,
-        })
-        .collect();
-    let mut query_keys: Vec<u64> = queries.iter().flatten().copied().collect();
-    query_keys.sort_unstable();
-    query_keys.dedup();
-    meter.charge(query_keys.len() as u64);
-    let query_keys_ref = &query_keys;
-    let pass_started = Instant::now();
-    let folded = update_fold_pass(
-        stream,
-        shard,
-        batch,
-        vec![0i64; query_keys_ref.len()],
-        |counts: &mut Vec<i64>, _pos, chunk| {
-            for update in chunk {
-                if let Ok(q) = query_keys_ref.binary_search(&update.edge.key()) {
-                    counts[q] += update.delta();
-                }
-            }
-        },
-    );
-    let mut folded = folded.into_iter();
-    let mut closure_counts = folded.next().expect("at least one shard");
-    for other in folded {
-        for (total, c) in closure_counts.iter_mut().zip(other) {
-            *total += c;
-        }
-    }
-    seq_pass_nanos[3] = pass_started.elapsed().as_nanos() as u64;
-
-    // Evaluate.
-    let mut hits = 0u64;
-    for key in queries.iter().flatten() {
-        let q = query_keys
-            .binary_search(key)
-            .expect("query key was interned");
-        if closure_counts[q] > 0 {
-            hits += 1;
-        }
-    }
-    let y = hits as f64 / instances.len().max(1) as f64;
-    // Incident-triangle estimator: every triangle is counted once per
-    // containing edge, hence the division by three.
-    let estimate = (m_net as f64 / r as f64) * d_r as f64 * y / 3.0;
-
-    Ok(DynamicCopyOutcome {
-        estimate,
-        space: meter.report(),
-        triangles_found: hits,
-        r,
-        inner_samples: instances.len(),
-        surviving_edges: m_net,
-        pass_nanos: seq_pass_nanos,
-        pass_tallies: [PassTally::default(); 4],
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use degentri_gen::{barabasi_albert, grid, wheel};
     use degentri_graph::triangles::count_triangles;
+    use degentri_graph::Edge;
     use degentri_stream::DynamicMemoryStream;
 
     #[test]
@@ -944,17 +555,6 @@ mod tests {
         let mut zero_kappa = DynamicEstimatorConfig::new(3, 100);
         zero_kappa.kappa = 0;
         assert!(zero_kappa.validate().is_err());
-        // The regime defaults to the back-compatible sequential PRNG.
-        assert_eq!(
-            DynamicEstimatorConfig::new(3, 100).rng_mode,
-            RngMode::Sequential
-        );
-        assert_eq!(
-            DynamicEstimatorConfig::new(3, 100)
-                .with_rng_mode(RngMode::Counter)
-                .rng_mode,
-            RngMode::Counter
-        );
     }
 
     #[test]
@@ -969,13 +569,9 @@ mod tests {
     fn fully_cancelled_stream_is_an_error() {
         let g = wheel(50).unwrap();
         let stream = DynamicMemoryStream::insert_then_delete(&g, |_| false, 3);
-        for mode in [RngMode::Sequential, RngMode::Counter] {
-            let config = DynamicEstimatorConfig::new(3, 10)
-                .with_copies(1)
-                .with_rng_mode(mode);
-            let out = DynamicTriangleEstimator::new(config).run(&stream);
-            assert!(matches!(out, Err(DynamicError::EmptySurvivingGraph)));
-        }
+        let config = DynamicEstimatorConfig::new(3, 10).with_copies(1);
+        let out = DynamicTriangleEstimator::new(config).run(&stream);
+        assert!(matches!(out, Err(DynamicError::EmptySurvivingGraph)));
     }
 
     #[test]
@@ -1023,21 +619,18 @@ mod tests {
         let exact = count_triangles(&g);
         let stream = DynamicMemoryStream::with_churn(&g, 0.7, 13);
         assert!(stream.num_deletions() > 0);
-        for mode in [RngMode::Sequential, RngMode::Counter] {
-            let config = DynamicEstimatorConfig::new(3, exact / 2)
-                .with_epsilon(0.3)
-                .with_copies(5)
-                .with_seed(23)
-                .with_rng_mode(mode);
-            let out = DynamicTriangleEstimator::new(config).run(&stream).unwrap();
-            assert!(
-                out.relative_error(exact) < 0.45,
-                "{mode:?}: estimate {} vs exact {exact}",
-                out.estimate
-            );
-            // The net edge count must see through the churn.
-            assert_eq!(out.surviving_edges, g.num_edges());
-        }
+        let config = DynamicEstimatorConfig::new(3, exact / 2)
+            .with_epsilon(0.3)
+            .with_copies(5)
+            .with_seed(23);
+        let out = DynamicTriangleEstimator::new(config).run(&stream).unwrap();
+        assert!(
+            out.relative_error(exact) < 0.45,
+            "estimate {} vs exact {exact}",
+            out.estimate
+        );
+        // The net edge count must see through the churn.
+        assert_eq!(out.surviving_edges, g.num_edges());
     }
 
     #[test]
@@ -1048,19 +641,13 @@ mod tests {
             |e| e.u().index() == 0 || e.v().index() == 0,
             5,
         );
-        for mode in [RngMode::Sequential, RngMode::Counter] {
-            let config = DynamicEstimatorConfig::new(3, 50)
-                .with_epsilon(0.3)
-                .with_copies(3)
-                .with_seed(1)
-                .with_rng_mode(mode);
-            let out = DynamicTriangleEstimator::new(config).run(&stream).unwrap();
-            assert_eq!(
-                out.estimate, 0.0,
-                "{mode:?}: no triangles survive the deletions"
-            );
-            assert_eq!(out.triangles_found, 0);
-        }
+        let config = DynamicEstimatorConfig::new(3, 50)
+            .with_epsilon(0.3)
+            .with_copies(3)
+            .with_seed(1);
+        let out = DynamicTriangleEstimator::new(config).run(&stream).unwrap();
+        assert_eq!(out.estimate, 0.0, "no triangles survive the deletions");
+        assert_eq!(out.triangles_found, 0);
     }
 
     #[test]
@@ -1098,45 +685,39 @@ mod tests {
     fn copy_runner_plus_aggregation_match_run() {
         let g = wheel(250).unwrap();
         let stream = DynamicMemoryStream::with_churn(&g, 0.5, 19);
-        for mode in [RngMode::Sequential, RngMode::Counter] {
-            let config = DynamicEstimatorConfig::new(3, 120)
-                .with_epsilon(0.3)
-                .with_copies(4)
-                .with_seed(7)
-                .with_rng_mode(mode);
-            let whole = DynamicTriangleEstimator::new(config.clone())
-                .run(&stream)
-                .unwrap();
-            let copies: Vec<DynamicCopyOutcome> = (0..config.copies)
-                .map(|c| run_dynamic_copy(&stream, &config, c).unwrap())
-                .collect();
-            let rebuilt = aggregate_dynamic_copies(&copies);
-            assert_eq!(rebuilt.estimate.to_bits(), whole.estimate.to_bits());
-            assert_eq!(rebuilt.copy_estimates, whole.copy_estimates);
-            assert_eq!(rebuilt.space, whole.space);
-            assert_eq!(rebuilt.triangles_found, whole.triangles_found);
-        }
+        let config = DynamicEstimatorConfig::new(3, 120)
+            .with_epsilon(0.3)
+            .with_copies(4)
+            .with_seed(7);
+        let whole = DynamicTriangleEstimator::new(config.clone())
+            .run(&stream)
+            .unwrap();
+        let copies: Vec<DynamicCopyOutcome> = (0..config.copies)
+            .map(|c| run_dynamic_copy(&stream, &config, c).unwrap())
+            .collect();
+        let rebuilt = aggregate_dynamic_copies(&copies);
+        assert_eq!(rebuilt.estimate.to_bits(), whole.estimate.to_bits());
+        assert_eq!(rebuilt.copy_estimates, whole.copy_estimates);
+        assert_eq!(rebuilt.space, whole.space);
+        assert_eq!(rebuilt.triangles_found, whole.triangles_found);
     }
 
     #[test]
     fn batch_size_never_changes_a_copy() {
         let g = wheel(200).unwrap();
         let stream = DynamicMemoryStream::with_churn(&g, 0.6, 3);
-        for mode in [RngMode::Sequential, RngMode::Counter] {
-            let config = DynamicEstimatorConfig::new(3, 100)
-                .with_copies(1)
-                .with_seed(5)
-                .with_rng_mode(mode);
-            let reference = run_dynamic_copy(&stream, &config, 0).unwrap();
-            for batch in [1usize, 7, 64, 100_000] {
-                let out = run_dynamic_copy_with(&stream, &config, 0, batch).unwrap();
-                assert_eq!(
-                    out.estimate.to_bits(),
-                    reference.estimate.to_bits(),
-                    "{mode:?} batch {batch}"
-                );
-                assert_eq!(out, reference);
-            }
+        let config = DynamicEstimatorConfig::new(3, 100)
+            .with_copies(1)
+            .with_seed(5);
+        let reference = run_dynamic_copy(&stream, &config, 0).unwrap();
+        for batch in [1usize, 7, 64, 100_000] {
+            let out = run_dynamic_copy_with(&stream, &config, 0, batch).unwrap();
+            assert_eq!(
+                out.estimate.to_bits(),
+                reference.estimate.to_bits(),
+                "batch {batch}"
+            );
+            assert_eq!(out, reference);
         }
     }
 
@@ -1166,23 +747,6 @@ mod tests {
                 assert_eq!(out.triangles_found, reference.triangles_found);
             }
         }
-    }
-
-    #[test]
-    fn sequential_mode_over_a_sharded_view_matches_the_plain_run() {
-        let g = wheel(150).unwrap();
-        let stream = DynamicMemoryStream::with_churn(&g, 0.5, 3);
-        let config = DynamicEstimatorConfig::new(3, 70)
-            .with_copies(2)
-            .with_seed(17);
-        let estimator = DynamicTriangleEstimator::new(config);
-        let reference = estimator.run(&stream).unwrap();
-        // Sequential configs walk the view in global order (no sharding);
-        // the result is still bit-identical to the plain run.
-        let view = degentri_stream::ShardedDynamicStream::from_stream(&stream, 5);
-        let out = estimator.run_sharded(&view, 4).unwrap();
-        assert_eq!(out.estimate.to_bits(), reference.estimate.to_bits());
-        assert_eq!(out.copy_estimates, reference.copy_estimates);
     }
 
     #[test]

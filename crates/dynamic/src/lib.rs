@@ -24,19 +24,19 @@
 //!
 //! # Engine integration and position-keyed randomness
 //!
-//! The estimator runs in one of two distribution-identical randomness
-//! regimes ([`DynamicEstimatorConfig::rng_mode`]):
-//! `RngMode::Sequential` (the default) consumes one stateful PRNG exactly
-//! as earlier releases did, while `RngMode::Counter` derives every sketch
-//! seed and every degree-proportional instance pick from pure keyed hashes
-//! — sketch `k` from `hash(seed, stream-tag, k)`, instance `i`'s pick from
-//! the position-keyed `WeightedPickCell` reservoir rule over the sampled
-//! edge set `R`. Per-update sketch randomness is keyed by the **edge**
-//! (an insert and its later delete must hash identically to cancel), so
-//! every pass is a linear, order-insensitive fold that a
+//! The estimator derives every sketch seed and every degree-proportional
+//! instance pick from pure keyed hashes of the configuration seed —
+//! sketch `k` from `hash(seed, stream-tag, k)`, instance `i`'s pick from a
+//! position-keyed rule over the sampled edge set `R` (see
+//! [`CounterSelection`]). Per-update sketch randomness is keyed by the
+//! **edge** (an insert and its later delete must hash identically to
+//! cancel), so every pass is a linear, order-insensitive fold that a
 //! [`degentri_stream::ShardedDynamicStream`] view can execute
 //! shard-parallel with bit-identical results at any shard or worker count
-//! (see [`estimator`]'s module docs for the full story).
+//! (see [`estimator`]'s module docs for the full story). The stage object
+//! [`DynamicCopyStages`] is the estimator's one implementation: standalone
+//! runs drive one copy per sweep, the engine's fused cohorts many copies
+//! per sweep.
 //!
 //! The per-copy building blocks ([`run_dynamic_copy`],
 //! [`run_dynamic_copy_sharded`], [`aggregate_dynamic_copies`],

@@ -1,7 +1,7 @@
-//! Resumable per-pass stage objects for the counter-mode turnstile
-//! estimator — the insert/delete twin of `degentri_core::stages`.
+//! Resumable per-pass stage objects for the turnstile estimator — its one
+//! implementation, and the insert/delete twin of `degentri_core::stages`.
 //!
-//! Every pass of the counter-mode turnstile estimator is a *linear* fold
+//! Every pass of the turnstile estimator is a *linear* fold
 //! of the update multiset (sketch sums, signed counters), so a copy
 //! decomposes into four `begin_pass → fold(batch) → finish_pass` stages
 //! that an external driver sweeps over the snapshot. The standalone
@@ -32,7 +32,7 @@
 //! cohort grouping.
 
 use degentri_core::faults;
-use degentri_core::rng::{streams, CounterRng, RngMode, WeightedPickCell};
+use degentri_core::rng::{streams, CounterRng, WeightedPickCell};
 use degentri_graph::{Edge, VertexId};
 use degentri_obs::PassTally;
 use degentri_sketch::hash::MERSENNE_PRIME;
@@ -202,8 +202,7 @@ impl DynamicCopyStages {
     }
 
     /// Prepares one copy over a stream of `num_updates` updates and `n`
-    /// vertices with the given (already copy-derived) seed. Requires
-    /// [`RngMode::Counter`].
+    /// vertices with the given (already copy-derived) seed.
     pub fn new(
         config: &DynamicEstimatorConfig,
         num_updates: usize,
@@ -211,11 +210,6 @@ impl DynamicCopyStages {
         seed: u64,
     ) -> Result<Self> {
         config.validate()?;
-        if config.rng_mode != RngMode::Counter {
-            return Err(DynamicError::invalid_parameter(
-                "stage-object execution requires RngMode::Counter",
-            ));
-        }
         if num_updates == 0 {
             return Err(DynamicError::EmptyStream);
         }
@@ -896,7 +890,6 @@ mod tests {
         DynamicEstimatorConfig::new(5, 200)
             .with_epsilon(0.3)
             .with_seed(29)
-            .with_rng_mode(RngMode::Counter)
     }
 
     fn fresh_copies(

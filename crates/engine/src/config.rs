@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use degentri_core::RngMode;
 use degentri_stream::DEFAULT_BATCH_SIZE;
 
 use crate::error::EngineError;
@@ -8,18 +7,13 @@ use crate::job::RetryPolicy;
 use crate::Result;
 
 /// Configuration of an [`Engine`](crate::Engine) / of the parallel copy
-/// runners: worker-pool size, batched-delivery chunk size, whether idle
-/// workers may be used for intra-copy shard parallelism, and which
-/// randomness regime jobs run under.
+/// runners: worker-pool size, batched-delivery chunk size, and whether
+/// idle workers may be used for intra-copy shard parallelism.
 ///
-/// Workers, batching and sharding never affect results, only wall-clock
-/// time: tasks carry deterministic seeds, sharded passes merge per-shard
-/// accumulators in shard order, and batching only changes chunk boundaries
-/// — so any two such configurations produce bit-identical estimations.
-/// The [`rng_mode`](EngineConfig::rng_mode) override is the one knob that
-/// *does* select between the two (distribution-identical) randomness
-/// regimes of [`RngMode`]; within either regime every scheduling choice
-/// remains bit-identical.
+/// No setting affects results, only wall-clock time: tasks carry
+/// deterministic seeds, sharded passes merge per-shard accumulators in
+/// shard order, and batching only changes chunk boundaries — so any two
+/// configurations produce bit-identical estimations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of worker threads (at least 1; capped at the task count when
@@ -32,15 +26,7 @@ pub struct EngineConfig {
     /// [`Engine::run`](crate::Engine::run)). Disabling this restricts the
     /// engine to copy-level parallelism only.
     pub intra_task_sharding: bool,
-    /// The randomness regime forced onto every job's estimator
-    /// configuration, or `None` to respect each job's own
-    /// `EstimatorConfig::rng_mode`. Defaults to
-    /// `Some(RngMode::Counter)` — counter-based randomness is the engine
-    /// default because it lets the scheduler shard **every** pass of the
-    /// six-pass and ideal estimators across spare workers, not just the
-    /// order-insensitive ones.
-    pub rng_mode: Option<RngMode>,
-    /// Whether counter-mode jobs execute through the fused pass driver —
+    /// Whether estimator jobs execute through the fused pass driver —
     /// one sweep per pass stage feeding every in-flight copy — instead of
     /// one set of sweeps per copy. Bit-identical either way (see
     /// `crates/engine/src/fused.rs`); disabling is for benchmarking the
@@ -71,14 +57,13 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// A configuration using all available hardware parallelism, the
-    /// default batch size, and counter-based randomness.
+    /// A configuration using all available hardware parallelism and the
+    /// default batch size.
     pub fn new() -> Self {
         EngineConfig {
             workers: available_workers(),
             batch_size: DEFAULT_BATCH_SIZE,
             intra_task_sharding: true,
-            rng_mode: Some(RngMode::Counter),
             fused_execution: true,
             recording: false,
             validate_input: false,
@@ -159,22 +144,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Forces every job onto the given randomness regime (the default
-    /// forces [`RngMode::Counter`]).
-    pub fn rng_mode(mut self, mode: RngMode) -> Self {
-        self.config.rng_mode = Some(mode);
-        self
-    }
-
-    /// Respects each job's own `EstimatorConfig::rng_mode` instead of
-    /// forcing an engine-wide regime.
-    pub fn job_rng_mode(mut self) -> Self {
-        self.config.rng_mode = None;
-        self
-    }
-
     /// Enables or disables the fused pass driver (the default runs every
-    /// counter-mode job fused; disable to benchmark per-copy sweeps).
+    /// estimator job fused; disable to benchmark per-copy sweeps).
     pub fn fused_execution(mut self, yes: bool) -> Self {
         self.config.fused_execution = yes;
         self
@@ -237,7 +208,6 @@ mod tests {
         assert!(EngineConfig::default().workers >= 1);
         assert_eq!(EngineConfig::default().batch_size, DEFAULT_BATCH_SIZE);
         assert!(EngineConfig::default().intra_task_sharding);
-        assert_eq!(EngineConfig::default().rng_mode, Some(RngMode::Counter));
         assert!(EngineConfig::default().fused_execution);
         assert!(!EngineConfig::default().recording);
         assert!(!EngineConfig::default().validate_input);
@@ -262,17 +232,6 @@ mod tests {
                 .unwrap()
                 .fused_execution
         );
-    }
-
-    #[test]
-    fn rng_mode_override_threads_through_the_builder() {
-        let forced = EngineConfig::builder()
-            .rng_mode(RngMode::Sequential)
-            .try_build()
-            .unwrap();
-        assert_eq!(forced.rng_mode, Some(RngMode::Sequential));
-        let respectful = EngineConfig::builder().job_rng_mode().try_build().unwrap();
-        assert_eq!(respectful.rng_mode, None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The fused pass driver: one sweep per pass stage, feeding every
 //! in-flight copy.
 //!
-//! Under counter-mode randomness both estimators expose their copies as
-//! resumable stage objects ([`degentri_core::MainCopyStages`],
+//! Every estimator exposes its copies as resumable stage objects
+//! ([`degentri_core::MainCopyStages`], [`degentri_core::IdealCopyStages`],
 //! [`degentri_dynamic::DynamicCopyStages`]): `begin_pass → fold(batch) →
 //! finish_pass`. Per-copy scheduling executes `passes` sweeps *per copy* —
 //! with 4+ copies per job the dominant cost is re-streaming the same
@@ -25,8 +25,7 @@ use std::time::Instant;
 
 use degentri_core::faults;
 use degentri_core::{
-    IdealCopyStages, IdealStageAcc, MainCohortPlan, MainCohortScratch, MainCopyStages,
-    MainStageAcc, SequentialCopyStages,
+    IdealCopyStages, IdealStageAcc, MainCohortPlan, MainCohortScratch, MainCopyStages, MainStageAcc,
 };
 use degentri_dynamic::{DynamicCohortPlan, DynamicCopyStages, DynamicStageAcc};
 use degentri_graph::Edge;
@@ -313,7 +312,7 @@ pub(crate) trait SweepPool {
         F: Fn(usize) -> T + Sync;
 }
 
-impl<W> SweepPool for QueueScope<'_, '_, W> {
+impl SweepPool for QueueScope<'_, '_> {
     fn sweep_shards<T, F>(&mut self, count: usize, fold: F) -> Vec<(TaskResult<T>, u64)>
     where
         T: Send,
@@ -894,30 +893,25 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
 /// The heterogeneous fused cohort of one edge-snapshot batch, grouped by
 /// execution shape:
 ///
-/// * `mains` — six-pass counter-mode copies sharing union probe plans;
+/// * `mains` — six-pass copies sharing union probe plans;
 /// * `ideals` — 3-pass ideal-estimator **job** members (each internally
 ///   fuses its own copies) that ride the first three shared sweeps, then
-///   retire from the sweep schedule;
-/// * `seqs` — sequential-mode six-pass copies that join the shared sweeps
-///   only on their order-insensitive passes (degrees, closure, assignment
-///   membership) and run the RNG-consuming passes as private traversals.
+///   retire from the sweep schedule.
 ///
 /// Members carry [`CohortMemberMeta`] exactly like the homogeneous driver;
-/// group indices are global across the three vectors, so containment
-/// evicts a failed job's copies wherever they live.
+/// group indices are global across both vectors, so containment evicts a
+/// failed job's copies wherever they live.
 pub(crate) struct EdgeCohort<'o> {
     pub mains: Vec<MainCopyStages>,
     pub main_meta: Vec<CohortMemberMeta>,
     pub ideals: Vec<IdealCopyStages<'o, StreamStats>>,
     pub ideal_meta: Vec<CohortMemberMeta>,
-    pub seqs: Vec<SequentialCopyStages>,
-    pub seq_meta: Vec<CohortMemberMeta>,
 }
 
 impl EdgeCohort<'_> {
-    /// Total cohort members across the three groups.
+    /// Total cohort members across both groups.
     pub fn len(&self) -> usize {
-        self.mains.len() + self.ideals.len() + self.seqs.len()
+        self.mains.len() + self.ideals.len()
     }
 
     /// Whether any group has members.
@@ -928,7 +922,6 @@ impl EdgeCohort<'_> {
     fn unfinished(&self) -> bool {
         self.mains.iter().any(|c| !StagedCopy::finished(c))
             || self.ideals.iter().any(|c| !c.finished())
-            || self.seqs.iter().any(|c| !c.finished())
     }
 
     /// The pass index every unfinished member sits at (lockstep).
@@ -942,7 +935,6 @@ impl EdgeCohort<'_> {
                     .filter(|c| !c.finished())
                     .map(|c| c.pass_index()),
             )
-            .chain(self.seqs.iter().map(|c| c.pass_index()))
             .next()
             .unwrap_or(0)
     }
@@ -977,14 +969,13 @@ fn evict_mixed(
     }
     outcome.evicted += evict_members(&mut cohort.mains, &mut cohort.main_meta, group);
     outcome.evicted += evict_members(&mut cohort.ideals, &mut cohort.ideal_meta, group);
-    outcome.evicted += evict_members(&mut cohort.seqs, &mut cohort.seq_meta, group);
 }
 
 /// One stage failure of the mixed cohort, resolved to member identity at
 /// record time — member indices are per-group-vector, so unlike the
 /// homogeneous driver the mixed driver cannot key failures by one flat
-/// index. `(group, copy)` is unique across the three vectors (a copy
-/// lives in exactly one of them).
+/// index. `(group, copy)` is unique across both vectors (a copy lives in
+/// exactly one of them).
 struct MixedFailure {
     group: usize,
     copy: usize,
@@ -1042,8 +1033,7 @@ fn evict_copy_mixed(
     error: EngineError,
 ) {
     let removed = remove_one(&mut cohort.mains, &mut cohort.main_meta, group, copy)
-        || remove_one(&mut cohort.ideals, &mut cohort.ideal_meta, group, copy)
-        || remove_one(&mut cohort.seqs, &mut cohort.seq_meta, group, copy);
+        || remove_one(&mut cohort.ideals, &mut cohort.ideal_meta, group, copy);
     if removed {
         outcome.evicted += 1;
     }
@@ -1086,7 +1076,6 @@ fn fail_all_mixed(cohort: &mut EdgeCohort<'_>, outcome: &mut CohortOutcome, erro
             .main_meta
             .first()
             .or(cohort.ideal_meta.first())
-            .or(cohort.seq_meta.first())
             .map(|mm| mm.group);
         match group {
             Some(g) => evict_mixed(cohort, outcome, g, error.clone()),
@@ -1096,20 +1085,18 @@ fn fail_all_mixed(cohort: &mut EdgeCohort<'_>, outcome: &mut CohortOutcome, erro
 }
 
 /// The per-shard accumulator bundle of one mixed shared sweep, in group
-/// order (mains, ideals, seqs).
-type MixedAccs = (Vec<MainStageAcc>, Vec<IdealStageAcc>, Vec<Vec<u64>>);
+/// order (mains, ideals).
+type MixedAccs = (Vec<MainStageAcc>, Vec<IdealStageAcc>);
 
-/// Executes a mixed cohort of six-pass, ideal and sequential copies over
-/// one shared edge snapshot: each stage of the schedule runs **one**
-/// shared sweep feeding every participating member — the six-pass copies
-/// through their union plans, each ideal job's fold, and the sequential
-/// copies' order-insensitive shared folds — plus one private serial
-/// traversal per sequential copy on its RNG-consuming stages. Members
-/// whose pass budget is exhausted (ideal jobs after stage 2) retire from
-/// the sweep schedule; the survivors keep fusing.
+/// Executes a mixed cohort of six-pass and ideal copies over one shared
+/// edge snapshot: each stage of the schedule runs **one** shared sweep
+/// feeding every participating member — the six-pass copies through their
+/// union plans and each ideal job's fold. Members whose pass budget is
+/// exhausted (ideal jobs after stage 2) retire from the sweep schedule;
+/// the survivors keep fusing.
 ///
 /// Containment, deadlines, cancellation and fault probes follow
-/// [`drive_cohort`] exactly, at job granularity across all three groups
+/// [`drive_cohort`] exactly, at job granularity across both groups
 /// (copy granularity for members with [`CohortMemberMeta::contained`]).
 /// Bit-identity holds for the same reason as the homogeneous driver:
 /// every fold a member sees is the same fold, on the same chunks at the
@@ -1130,7 +1117,6 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
 ) -> CohortOutcome {
     debug_assert_eq!(cohort.mains.len(), cohort.main_meta.len());
     debug_assert_eq!(cohort.ideals.len(), cohort.ideal_meta.len());
-    debug_assert_eq!(cohort.seqs.len(), cohort.seq_meta.len());
     let mut outcome = CohortOutcome::default();
     let batch = batch.max(1);
     while cohort.unfinished() {
@@ -1147,7 +1133,6 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
                         .filter(|c| !c.finished())
                         .map(|c| c.pass_index())
                 )
-                .chain(cohort.seqs.iter().map(|c| c.pass_index()))
                 .all(|p| p == stage),
             "mixed cohort members run in stage lockstep"
         );
@@ -1164,12 +1149,7 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
         // One clock read per stage covers every group's deadline.
         let now = Instant::now();
         let mut expired: Vec<usize> = Vec::new();
-        for mm in cohort
-            .main_meta
-            .iter()
-            .chain(&cohort.ideal_meta)
-            .chain(&cohort.seq_meta)
-        {
+        for mm in cohort.main_meta.iter().chain(&cohort.ideal_meta) {
             if mm.deadline.is_some_and(|d| now >= d) && !expired.contains(&mm.group) {
                 expired.push(mm.group);
             }
@@ -1195,7 +1175,6 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
                 .main_meta
                 .iter()
                 .chain(&cohort.ideal_meta)
-                .chain(&cohort.seq_meta)
                 .enumerate()
             {
                 let probed = catch_unwind(AssertUnwindSafe(|| {
@@ -1212,69 +1191,9 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
         }
         let mut stage_failures: Vec<MixedFailure> = Vec::new();
 
-        // ---- private sequential traversals of this stage ---------------
-        if !SequentialCopyStages::pass_is_shared(stage) && !cohort.seqs.is_empty() {
-            let mut aborted = false;
-            for k in 0..cohort.seqs.len() {
-                let mm = cohort.seq_meta[k];
-                if mixed_doomed(&stage_failures, &mm) {
-                    continue;
-                }
-                if cancel.is_cancelled() {
-                    aborted = true;
-                    break;
-                }
-                let copy_started = Instant::now();
-                let seq = &mut cohort.seqs[k];
-                // `AssertUnwindSafe`: a panicking private fold may tear
-                // this copy's RNG state, but the caller evicts the copy's
-                // whole group on `Err` — the torn state is never observed.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    for chunk in edges.chunks(batch) {
-                        if cancel.is_cancelled() {
-                            return Ok(false);
-                        }
-                        seq.fold_private(chunk);
-                    }
-                    seq.finish_private().map(|()| true)
-                }));
-                match result {
-                    Ok(Ok(true)) => {
-                        let nanos = copy_started.elapsed().as_nanos() as u64;
-                        cohort.seqs[k].set_pass_nanos(stage, nanos);
-                        outcome.sweeps += 1;
-                        outcome.busy_nanos += nanos;
-                        if R::ENABLED {
-                            recorder.add(lane, Counter::SweepsExecuted, 1);
-                        }
-                    }
-                    Ok(Ok(false)) => {
-                        aborted = true;
-                        break;
-                    }
-                    Ok(Err(e)) => stage_failures.push(MixedFailure::of(&mm, EngineError::from(e))),
-                    Err(payload) => stage_failures
-                        .push(MixedFailure::of(&mm, EngineError::panicked(k, payload))),
-                }
-            }
-            if aborted || cancel.is_cancelled() {
-                resolve_mixed_failures(cohort, &mut outcome, stage_failures);
-                fail_all_mixed(
-                    cohort,
-                    &mut outcome,
-                    &EngineError::Cancelled {
-                        completed_passes: stage,
-                    },
-                );
-                break;
-            }
-        }
-
         // ---- the stage's shared sweep ----------------------------------
         let ideals_active = cohort.ideals.iter().any(|c| !c.finished());
-        let seqs_shared = SequentialCopyStages::pass_is_shared(stage) && !cohort.seqs.is_empty();
-        let sweep_needed = !cohort.mains.is_empty() || ideals_active || seqs_shared;
-        if sweep_needed {
+        if !cohort.mains.is_empty() || ideals_active {
             let plan_started = Instant::now();
             let main_plan: Option<MainCohortPlan> =
                 (!cohort.mains.is_empty()).then(|| MainCopyStages::plan_cohort(&cohort.mains));
@@ -1288,7 +1207,6 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
             let mut sweep_busy = 0u64;
             let mains: &[MainCopyStages] = &cohort.mains;
             let ideals: &[IdealCopyStages<'_, StreamStats>] = &cohort.ideals;
-            let seqs: &[SequentialCopyStages] = &cohort.seqs;
             let plan_ref = &main_plan;
             let fold_slice = |slice: &[Edge], start: u64| -> MixedAccs {
                 let mut main_accs: Vec<MainStageAcc> =
@@ -1296,11 +1214,6 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
                 let mut scratch = MainCohortScratch::default();
                 let mut ideal_accs: Vec<IdealStageAcc> = if ideals_active {
                     ideals.iter().map(|c| c.begin_pass()).collect()
-                } else {
-                    Vec::new()
-                };
-                let mut seq_accs: Vec<Vec<u64>> = if seqs_shared {
-                    seqs.iter().map(|c| c.begin_shared()).collect()
                 } else {
                     Vec::new()
                 };
@@ -1324,14 +1237,9 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
                             stages.fold(acc, pos, chunk);
                         }
                     }
-                    if seqs_shared {
-                        for (stages, acc) in seqs.iter().zip(seq_accs.iter_mut()) {
-                            stages.fold_shared(acc, chunk);
-                        }
-                    }
                     pos += chunk.len() as u64;
                 }
-                (main_accs, ideal_accs, seq_accs)
+                (main_accs, ideal_accs)
             };
             // `None` = some shard panicked; drop to the per-member
             // fallback, exactly like the homogeneous driver.
@@ -1374,19 +1282,16 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
             // either from the shared sweep's shard transposition or from
             // the per-member panic-isolation fallback.
             #[allow(clippy::type_complexity)]
-            let (main_folds, ideal_folds, seq_folds): (
+            let (main_folds, ideal_folds): (
                 Vec<std::thread::Result<Vec<MainStageAcc>>>,
                 Vec<std::thread::Result<Vec<IdealStageAcc>>>,
-                Vec<std::thread::Result<Vec<Vec<u64>>>>,
             ) = match per_shard {
                 Some(shards_accs) => {
                     let mut main_shards: Vec<Vec<MainStageAcc>> = Vec::new();
                     let mut ideal_shards: Vec<Vec<IdealStageAcc>> = Vec::new();
-                    let mut seq_shards: Vec<Vec<Vec<u64>>> = Vec::new();
-                    for (m, i, q) in shards_accs {
+                    for (m, i) in shards_accs {
                         main_shards.push(m);
                         ideal_shards.push(i);
-                        seq_shards.push(q);
                     }
                     (
                         transpose(main_shards, mains.len())
@@ -1394,10 +1299,6 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
                             .map(Ok)
                             .collect(),
                         transpose(ideal_shards, if ideals_active { ideals.len() } else { 0 })
-                            .into_iter()
-                            .map(Ok)
-                            .collect(),
-                        transpose(seq_shards, if seqs_shared { seqs.len() } else { 0 })
                             .into_iter()
                             .map(Ok)
                             .collect(),
@@ -1429,25 +1330,7 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
                     } else {
                         Vec::new()
                     };
-                    let seq_folds = if seqs_shared {
-                        seqs.iter()
-                            .map(|c| {
-                                catch_unwind(AssertUnwindSafe(|| {
-                                    let mut acc = c.begin_shared();
-                                    for chunk in edges.chunks(batch) {
-                                        if cancel.is_cancelled() {
-                                            break;
-                                        }
-                                        c.fold_shared(&mut acc, chunk);
-                                    }
-                                    vec![acc]
-                                }))
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    (main_folds, ideal_folds, seq_folds)
+                    (main_folds, ideal_folds)
                 }
             };
             drop(main_plan);
@@ -1494,28 +1377,6 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
                             catch_unwind(AssertUnwindSafe(|| cohort.ideals[k].finish_pass(accs)));
                         match finish {
                             Ok(Ok(())) => cohort.ideals[k].set_pass_nanos(stage, nanos),
-                            Ok(Err(e)) => {
-                                stage_failures.push(MixedFailure::of(&mm, EngineError::from(e)))
-                            }
-                            Err(payload) => stage_failures
-                                .push(MixedFailure::of(&mm, EngineError::panicked(k, payload))),
-                        }
-                    }
-                }
-            }
-            for (k, result) in seq_folds.into_iter().enumerate() {
-                let mm = cohort.seq_meta[k];
-                if mixed_doomed(&stage_failures, &mm) {
-                    continue;
-                }
-                match result {
-                    Err(payload) => stage_failures
-                        .push(MixedFailure::of(&mm, EngineError::panicked(k, payload))),
-                    Ok(accs) => {
-                        let finish =
-                            catch_unwind(AssertUnwindSafe(|| cohort.seqs[k].finish_shared(accs)));
-                        match finish {
-                            Ok(Ok(())) => cohort.seqs[k].set_pass_nanos(stage, nanos),
                             Ok(Err(e)) => {
                                 stage_failures.push(MixedFailure::of(&mm, EngineError::from(e)))
                             }

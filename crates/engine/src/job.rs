@@ -4,7 +4,7 @@ use std::fmt;
 use std::time::Duration;
 
 use degentri_baselines::{BaselineOutcome, StreamingTriangleCounter};
-use degentri_core::{EstimatorConfig, RngMode, TriangleEstimation};
+use degentri_core::{EstimatorConfig, TriangleEstimation};
 use degentri_dynamic::{DynamicEstimatorConfig, DynamicOutcome};
 
 /// A baseline algorithm boxed for concurrent execution.
@@ -192,24 +192,14 @@ impl JobKind {
 
     /// Whether this job's copies can run passes shard-parallel over a
     /// sharded snapshot view ([`ShardedStream`](degentri_stream::ShardedStream)
-    /// / [`ShardedDynamicStream`](degentri_stream::ShardedDynamicStream))
-    /// when executed under `effective_mode` (the engine's
-    /// [`rng_mode`](crate::EngineConfig::rng_mode) override, or the job's
-    /// own mode when the engine respects it).
+    /// / [`ShardedDynamicStream`](degentri_stream::ShardedDynamicStream)).
     ///
-    /// The six-pass estimator always supports it — its order-insensitive
-    /// passes shard in either mode, and under [`RngMode::Counter`] all six
-    /// do. The ideal estimator's passes 1–2 consume RNG per edge, so it
-    /// shards only under [`RngMode::Counter`]; likewise the turnstile
-    /// estimator, whose sketch folds shard once its seeds come from keyed
-    /// counter hashes. Baselines build stateful per-edge structures and
-    /// never shard.
-    pub fn supports_intra_task_sharding(&self, effective_mode: RngMode) -> bool {
-        match self {
-            JobKind::Main(_) => true,
-            JobKind::Ideal(_) | JobKind::Dynamic(_) => effective_mode == RngMode::Counter,
-            JobKind::Baseline(_) => false,
-        }
+    /// Every estimator pass — six-pass, ideal and turnstile — is an
+    /// order-insensitive fold under counter-based randomness, so every
+    /// estimator job shards. Baselines build stateful per-edge structures
+    /// and never shard.
+    pub fn supports_intra_task_sharding(&self) -> bool {
+        !matches!(self, JobKind::Baseline(_))
     }
 }
 
@@ -448,13 +438,9 @@ mod tests {
         let ideal = JobSpec::ideal("i", config);
         assert_eq!(ideal.kind.task_count(), 5);
         assert!(format!("{:?}", ideal.kind).contains("Ideal"));
-        // The six-pass estimator shards in either randomness regime; the
-        // ideal estimator needs counter-based randomness for its sampling
-        // passes to become order-insensitive.
-        assert!(main.kind.supports_intra_task_sharding(RngMode::Sequential));
-        assert!(main.kind.supports_intra_task_sharding(RngMode::Counter));
-        assert!(!ideal.kind.supports_intra_task_sharding(RngMode::Sequential));
-        assert!(ideal.kind.supports_intra_task_sharding(RngMode::Counter));
+        // Both estimators' passes are order-insensitive folds.
+        assert!(main.kind.supports_intra_task_sharding());
+        assert!(ideal.kind.supports_intra_task_sharding());
     }
 
     #[test]
@@ -465,9 +451,8 @@ mod tests {
         assert!(job.kind.config().is_none());
         assert_eq!(job.kind.dynamic_config().unwrap().copies, 4);
         assert!(format!("{:?}", job.kind).contains("Dynamic"));
-        // Sketch folds shard only once seeds come from counter hashes.
-        assert!(!job.kind.supports_intra_task_sharding(RngMode::Sequential));
-        assert!(job.kind.supports_intra_task_sharding(RngMode::Counter));
+        // Sketch folds are linear, so turnstile copies shard too.
+        assert!(job.kind.supports_intra_task_sharding());
     }
 
     #[test]

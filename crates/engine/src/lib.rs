@@ -3,13 +3,13 @@
 //! The paper's estimator (Algorithm 2 of Bera & Seshadhri, PODS 2020)
 //! amplifies a constant-success-probability run by executing many
 //! independent copies and taking the median of means — an embarrassingly
-//! parallel structure that `degentri_core`'s sequential runner executes one
+//! parallel structure that `degentri_core`'s standalone runner executes one
 //! copy at a time. This crate is the scale-out layer on top of the same
 //! building blocks:
 //!
 //! * [`parallel`] — copy-level parallelism: the `copies` independent copies
 //!   of Algorithm 2 (or of the ideal estimator) run on a scoped worker
-//!   pool with the *same* deterministic per-copy seeds as the sequential
+//!   pool with the *same* deterministic per-copy seeds as the standalone
 //!   runner ([`degentri_core::main_copy_seed`]) and are folded with the
 //!   same aggregation ([`degentri_core::aggregate_copies`]), so the result
 //!   is bit-identical to [`degentri_core::estimate_triangles`] at any
@@ -22,10 +22,10 @@
 //!   throughput statistics ([`EngineStats`]). Turnstile (insert/delete)
 //!   jobs go through the same scheduler over a shared **dynamic** snapshot:
 //!   [`JobSpec::dynamic`] + [`Engine::run_dynamic`] run the
-//!   `degentri-dynamic` estimator's copies — with the engine's default
-//!   counter-mode randomness, each copy's sketch folds shard across spare
-//!   workers over one [`degentri_stream::ShardedDynamicStream`] view —
-//!   bit-identical to the standalone estimator.
+//!   `degentri-dynamic` estimator's copies — each copy's sketch folds
+//!   shard across spare workers over one
+//!   [`degentri_stream::ShardedDynamicStream`] view — bit-identical to the
+//!   standalone estimator.
 //! * batched streaming — the estimator hot loops consume the stream
 //!   through [`degentri_stream::EdgeStream::pass_batched`], which
 //!   in-memory snapshots serve as zero-copy slices; every copy the engine
@@ -54,21 +54,19 @@
 //! assert!(report.stats.edges_per_second > 0.0);
 //! ```
 //!
-//! ## The fusion matrix: every job kind, every rng regime, one pool
+//! ## The fusion matrix: every estimator job kind, one pool
 //!
-//! Sweep-sharing ("fused execution", on by default) is total across the
-//! job-kind × rng-mode matrix. When a batch holds several fusable jobs,
-//! their copies form **cohorts** that walk the snapshot together instead
-//! of each copy re-streaming it:
+//! Sweep-sharing ("fused execution", on by default) covers every
+//! estimator job kind. Each estimator has exactly one implementation, its
+//! stage object, so when a batch holds several estimator jobs their
+//! copies form **cohorts** that walk the snapshot together instead of each
+//! copy re-streaming it:
 //!
-//! * counter-mode main copies share all six passes of Algorithm 2;
+//! * six-pass copies share all six passes of Algorithm 2;
 //! * ideal copies join the *same* cohort through the 3-pass stage object
 //!   ([`degentri_core::IdealCopyStages`]) and retire after pass 3 —
 //!   ragged memberships are fine, a sweep simply stops folding for
 //!   members whose passes are done;
-//! * sequential-mode main copies attend the order-insensitive passes
-//!   (the 2nd, 4th, and 6th) and run their three RNG-order-sensitive
-//!   passes privately, one sweep per copy;
 //! * dynamic (turnstile) copies fuse into their own cohort whose shared
 //!   probe passes walk one k-way-merged **union key table** — and an
 //!   edge snapshot serves them too, as an insert-only update stream.
@@ -81,43 +79,34 @@
 //! copy computes:
 //!
 //! ```
-//! use degentri_core::{EstimatorConfig, RngMode};
+//! use degentri_core::EstimatorConfig;
 //! use degentri_dynamic::DynamicEstimatorConfig;
 //! use degentri_engine::{Engine, EngineConfig, JobSpec};
 //! use degentri_stream::{MemoryStream, StreamOrder};
 //!
 //! let graph = degentri_gen::wheel(400).unwrap();
 //! let stream = MemoryStream::from_graph(&graph, StreamOrder::UniformRandom(3));
-//! let main = |mode: RngMode| {
-//!     EstimatorConfig::builder()
-//!         .kappa(3)
-//!         .triangle_lower_bound(399)
-//!         .copies(3)
-//!         .seed(11)
-//!         .rng_mode(mode)
-//!         .try_build()
-//!         .unwrap()
-//! };
+//! let main = EstimatorConfig::builder()
+//!     .kappa(3)
+//!     .triangle_lower_bound(399)
+//!     .copies(3)
+//!     .seed(11)
+//!     .try_build()
+//!     .unwrap();
 //! let turnstile = DynamicEstimatorConfig::new(3, 399)
 //!     .with_copies(3)
-//!     .with_seed(12)
-//!     .with_rng_mode(RngMode::Counter);
+//!     .with_seed(12);
 //!
-//! // `job_rng_mode` lets each job keep its own randomness regime.
-//! let mut engine = Engine::new(
-//!     EngineConfig::builder().workers(4).job_rng_mode().try_build().unwrap(),
-//! );
-//! engine.submit(JobSpec::main("counter", main(RngMode::Counter)));
-//! engine.submit(JobSpec::main("sequential", main(RngMode::Sequential)));
-//! engine.submit(JobSpec::ideal("ideal", main(RngMode::Counter)));
+//! let mut engine = Engine::new(EngineConfig::with_workers(4));
+//! engine.submit(JobSpec::main("six-pass", main.clone()));
+//! engine.submit(JobSpec::ideal("ideal", main));
 //! engine.submit(JobSpec::dynamic("turnstile", turnstile));
 //! let report = engine.run(&stream).unwrap();
 //! assert!(report.jobs.iter().all(|job| job.is_ok()));
-//! // 6 shared six-pass sweeps (serving the counter job, the ideal job's
-//! // 3 passes, and the sequential job's order-insensitive passes)
-//! // + 3 sequential copies × 3 private RNG passes + 4 turnstile cohort
-//! // sweeps + 1 oracle stats pass — versus 52 sweeps unfused.
-//! assert_eq!(report.stats.sweeps_executed, 6 + 9 + 4 + 1);
+//! // 6 shared six-pass sweeps (also serving the ideal job's 3 passes)
+//! // + 4 turnstile cohort sweeps + 1 oracle stats pass — versus 40
+//! // sweeps unfused.
+//! assert_eq!(report.stats.sweeps_executed, 6 + 4 + 1);
 //! assert_eq!(report.stats.fused_cohorts, 2);
 //! assert_eq!(
 //!     report.stats.fused_sweeps + report.stats.per_copy_sweeps,

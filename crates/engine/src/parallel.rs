@@ -1,44 +1,22 @@
 //! Copy-level parallelism: the independent copies of an estimator run on a
 //! scoped worker pool.
 //!
-//! Copies use the exact per-copy seeds of the sequential runner
+//! Copies use the exact per-copy seeds of the standalone runner
 //! ([`degentri_core::main_copy_seed`] / [`degentri_core::ideal_copy_seed`])
 //! and are aggregated in copy order with
 //! [`degentri_core::aggregate_copies`], so the output is **bit-identical**
 //! to [`degentri_core::estimate_triangles`] /
 //! [`degentri_core::estimate_triangles_with_oracle`] at every worker count
 //! — scheduling only changes wall-clock time.
-//!
-//! Each worker thread owns one [`EstimatorScratch`] arena for its whole
-//! lifetime: the hash-free lookup tables of the estimator hot loops are
-//! allocated once per worker and reused across every copy the worker
-//! claims, so steady-state copies allocate nothing per edge.
 
 use degentri_core::{
     aggregate_copies, run_ideal_copy_with, run_main_copy_with, CopyContribution, EstimatorConfig,
-    EstimatorScratch, TriangleEstimation,
+    TriangleEstimation,
 };
 use degentri_stream::{run_indexed_pool, EdgeStream, StreamStats};
 
 use crate::config::EngineConfig;
 use crate::Result;
-
-/// Executes `count` indexed tasks on up to `workers` scoped threads and
-/// returns the outputs in task order, threading per-worker state (from
-/// `init`) through every task a worker executes — the engine passes a
-/// scratch arena here so tables are allocated per worker, not per copy.
-///
-/// The pool itself ([`degentri_stream::run_indexed_pool`]) is shared with
-/// the sharded pass machinery, so the claim-loop concurrency lives in one
-/// place.
-pub(crate) fn run_indexed_with<W, T, I, F>(workers: usize, count: usize, init: I, task: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> W + Sync,
-    F: Fn(&mut W, usize) -> T + Sync,
-{
-    run_indexed_pool(workers, count, init, task)
-}
 
 /// Collects per-copy results in copy order, surfacing the first failure.
 fn aggregate_results(
@@ -80,15 +58,9 @@ where
     engine_config.validate()?;
     config.validate()?;
     let batch = engine_config.batch_size;
-    let results = run_indexed_with(
-        engine_config.workers,
-        config.copies,
-        EstimatorScratch::new,
-        |scratch, copy| {
-            run_main_copy_with(stream, config, copy, batch, scratch)
-                .map(|o| CopyContribution::from(&o))
-        },
-    );
+    let results = run_indexed_pool(engine_config.workers, config.copies, |copy| {
+        run_main_copy_with(stream, config, copy, batch).map(|o| CopyContribution::from(&o))
+    });
     aggregate_results(results)
 }
 
@@ -132,74 +104,8 @@ where
     engine_config.validate()?;
     config.validate()?;
     let batch = engine_config.batch_size;
-    let results = run_indexed_with(
-        engine_config.workers,
-        config.copies,
-        EstimatorScratch::new,
-        |scratch, copy| {
-            run_ideal_copy_with(stream, stats, config, copy, batch, scratch)
-                .map(|o| CopyContribution::from(&o))
-        },
-    );
+    let results = run_indexed_pool(engine_config.workers, config.copies, |copy| {
+        run_ideal_copy_with(stream, stats, config, copy, batch).map(|o| CopyContribution::from(&o))
+    });
     aggregate_results(results)
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    use super::*;
-
-    #[test]
-    fn run_indexed_preserves_task_order() {
-        for workers in [1, 2, 4, 9] {
-            let out = run_indexed_with(workers, 100, || (), |(), i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(run_indexed_with(4, 0, || (), |(), i| i).is_empty());
-    }
-
-    #[test]
-    fn run_indexed_balances_uneven_tasks() {
-        // Tasks touch a shared counter; all must run exactly once.
-        let counter = AtomicUsize::new(0);
-        let out = run_indexed_with(
-            3,
-            37,
-            || (),
-            |(), i| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                i
-            },
-        );
-        assert_eq!(out.len(), 37);
-        assert_eq!(counter.load(Ordering::Relaxed), 37);
-    }
-
-    #[test]
-    fn worker_local_state_is_threaded_through_tasks() {
-        // Single worker: one state instance sees every task in order.
-        let out = run_indexed_with(
-            1,
-            5,
-            || 0usize,
-            |state, i| {
-                *state += 1;
-                (*state, i)
-            },
-        );
-        assert_eq!(out, vec![(1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]);
-        // Multiple workers: states partition the tasks.
-        let out = run_indexed_with(
-            3,
-            30,
-            || 0usize,
-            |state, _| {
-                *state += 1;
-                *state
-            },
-        );
-        assert_eq!(out.len(), 30);
-        assert!(out.iter().all(|&n| (1..=30).contains(&n)));
-    }
 }

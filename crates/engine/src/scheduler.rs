@@ -12,20 +12,20 @@
 //!
 //! Scheduling happens in two tiers:
 //!
-//! * **Fused cohorts** — counter-mode estimator jobs whose copies expose
-//!   the resumable stage-object API (`begin_pass → fold → finish_pass`)
-//!   are grouped into one cohort per snapshot flavor and executed by the
+//! * **Fused cohorts** — estimator jobs, whose copies expose the
+//!   resumable stage-object API (`begin_pass → fold → finish_pass`), are
+//!   grouped into one cohort per snapshot flavor and executed by the
 //!   fused pass driver ([`crate::fused`]): each pass stage is **one**
 //!   physical sweep over the snapshot that feeds every in-flight copy's
 //!   fold chunk by chunk, so `passes × copies` traversals collapse into
 //!   `passes`. With spare workers the sweep itself is sharded (per-shard
 //!   accumulators merge in shard order).
-//! * **Per-copy tasks** — everything else (sequential-mode jobs, the ideal
-//!   estimator, baselines, or every job when
-//!   [`EngineConfig::fused_execution`] is off) is flattened into
+//! * **Per-copy tasks** — baselines, and every estimator job when fusion
+//!   is off ([`EngineConfig::fused_execution`]), are flattened into
 //!   independent tasks — one per estimator copy, one per baseline — and
-//!   executed on the pool exactly as in earlier releases, including
-//!   intra-copy sharded passes when the pool is wider than the task list.
+//!   executed on the pool, each estimator copy driving its stage object
+//!   one pass per sweep, including intra-copy sharded passes when the
+//!   pool is wider than the task list.
 //!
 //! Both tiers use the same per-copy seeds ([`main_copy_seed`] /
 //! [`ideal_copy_seed`] / [`dynamic_copy_seed`]) and the same fold
@@ -42,8 +42,7 @@ use degentri_core::faults;
 use degentri_core::{
     ideal_copy_seed, main_copy_seed, run_ideal_copy_sharded, run_ideal_copy_with,
     run_main_copy_sharded, run_main_copy_with, validate_edges, CopyContribution, EstimatorConfig,
-    EstimatorError, EstimatorScratch, IdealCopyStages, MainCopyStages, RngMode,
-    SequentialCopyStages,
+    EstimatorError, IdealCopyStages, MainCopyStages,
 };
 use degentri_dynamic::{
     aggregate_dynamic_copies, dynamic_copy_seed, run_dynamic_copy_sharded, run_dynamic_copy_with,
@@ -411,8 +410,7 @@ impl Engine {
     /// stream does not expose it) and calls [`Engine::run_snapshot`].
     /// Per-copy seeds and the median aggregation match the standalone
     /// [`DynamicTriangleEstimator::run`](degentri_dynamic::DynamicTriangleEstimator::run),
-    /// so engine results are bit-identical to standalone results under the
-    /// same effective [`RngMode`].
+    /// so engine results are bit-identical to standalone results.
     pub fn run_dynamic<S>(&mut self, stream: &S) -> Result<EngineReport>
     where
         S: DynamicEdgeStream + Sync + ?Sized,
@@ -432,7 +430,7 @@ impl Engine {
         }
     }
 
-    /// Whether counter-mode jobs may fuse under this configuration. A
+    /// Whether estimator jobs may fuse under this configuration. A
     /// fused cohort's only parallelism is its sharded sweeps, so with
     /// intra-task sharding disabled *and* a multi-worker pool, fusing
     /// would serialize work that per-copy scheduling runs copy-parallel —
@@ -476,40 +474,18 @@ impl Engine {
 
         // Reject invalid configurations before any work starts.
         self.config.validate()?;
-        // The estimator configuration each job actually runs with: the
-        // engine's rng_mode override applied on top of the submitted one
-        // (None = respect the job's own mode).
-        let effective: Vec<Option<EstimatorConfig>> = jobs
-            .iter()
-            .map(|spec| {
-                spec.kind.config().map(|config| {
-                    let mut config = config.clone();
-                    if let Some(mode) = self.config.rng_mode {
-                        config.rng_mode = mode;
-                    }
-                    config
-                })
-            })
-            .collect();
-        for config in effective.iter().flatten() {
+        // Each job's estimator configuration (`None` for other kinds).
+        let configs: Vec<Option<&EstimatorConfig>> =
+            jobs.iter().map(|spec| spec.kind.config()).collect();
+        for config in configs.iter().flatten() {
             config.validate().map_err(EngineError::from)?;
         }
         // Turnstile jobs are welcome on an edge snapshot too: each edge
         // becomes one insertion, so a mixed main + ideal + dynamic batch
-        // shares a single input. Same override rule as update snapshots.
-        let effective_dyn: Vec<Option<DynamicEstimatorConfig>> = jobs
-            .iter()
-            .map(|spec| {
-                spec.kind.dynamic_config().map(|config| {
-                    let mut config = config.clone();
-                    if let Some(mode) = self.config.rng_mode {
-                        config.rng_mode = mode;
-                    }
-                    config
-                })
-            })
-            .collect();
-        for config in effective_dyn.iter().flatten() {
+        // shares a single input.
+        let dyn_configs: Vec<Option<&DynamicEstimatorConfig>> =
+            jobs.iter().map(|spec| spec.kind.dynamic_config()).collect();
+        for config in dyn_configs.iter().flatten() {
             config.validate().map_err(EngineError::from)?;
         }
         // Optional input hardening, still pre-flight: a malformed snapshot
@@ -599,35 +575,16 @@ impl Engine {
         }
         let stats_pass = started.elapsed();
 
-        // Tier split across the whole job-kind × rng-mode matrix: six-pass
-        // jobs fuse in either mode (counter copies share every sweep,
-        // sequential copies share the order-insensitive ones and run the
-        // RNG-consuming passes privately), ideal and turnstile jobs fuse
-        // under counter randomness; everything else becomes per-copy
-        // tasks.
-        let job_fusable = |job: usize| {
-            if !self.fusion_enabled() {
-                return false;
-            }
-            match &jobs[job].kind {
-                JobKind::Main(_) => true,
-                JobKind::Ideal(_) => effective[job]
-                    .as_ref()
-                    .is_some_and(|c| c.rng_mode == RngMode::Counter),
-                JobKind::Dynamic(_) => effective_dyn[job]
-                    .as_ref()
-                    .is_some_and(|c| c.rng_mode == RngMode::Counter),
-                JobKind::Baseline(_) => false,
-            }
-        };
+        // Tier split: with fusion enabled every estimator job fuses (the
+        // six-pass and ideal copies share one edge cohort, turnstile copies
+        // their own); baselines become per-copy tasks.
+        let fusion = self.fusion_enabled();
         let formation_started = Instant::now();
         let mut cohort = EdgeCohort {
             mains: Vec::new(),
             main_meta: Vec::new(),
             ideals: Vec::new(),
             ideal_meta: Vec::new(),
-            seqs: Vec::new(),
-            seq_meta: Vec::new(),
         };
         let mut dyn_cohort: Vec<DynamicCopyStages> = Vec::new();
         let mut dyn_meta: Vec<CohortMemberMeta> = Vec::new();
@@ -635,38 +592,25 @@ impl Engine {
         let mut tasks: Vec<Task> = Vec::new();
         for (job, spec) in jobs.iter().enumerate() {
             let count = spec.kind.task_count();
-            let fusable = job_fusable(job);
             match &spec.kind {
-                JobKind::Main(_) if fusable => {
-                    let config = effective[job].as_ref().expect("main job has a config");
-                    let sequential = config.rng_mode == RngMode::Sequential;
+                JobKind::Main(config) if fusion => {
                     for copy in 0..count {
                         let seed = main_copy_seed(config.seed, copy);
-                        let member = CohortMemberMeta {
+                        cohort.mains.push(
+                            MainCopyStages::new(config, m, num_vertices, seed)
+                                .map_err(EngineError::from)?,
+                        );
+                        cohort.main_meta.push(CohortMemberMeta {
                             group: job,
                             copy,
                             deadline: deadline_at[job],
                             fault_key: seed,
                             contained: contained[job],
-                        };
-                        if sequential {
-                            cohort.seqs.push(
-                                SequentialCopyStages::new(config, m, num_vertices, seed)
-                                    .map_err(EngineError::from)?,
-                            );
-                            cohort.seq_meta.push(member);
-                        } else {
-                            cohort.mains.push(
-                                MainCopyStages::new(config, m, num_vertices, seed)
-                                    .map_err(EngineError::from)?,
-                            );
-                            cohort.main_meta.push(member);
-                        }
+                        });
                         cohort_of.push((job, copy));
                     }
                 }
-                JobKind::Ideal(_) if fusable => {
-                    let config = effective[job].as_ref().expect("ideal job has a config");
+                JobKind::Ideal(config) if fusion => {
                     let stats = ideal_stats.as_ref().expect("stats built for ideal jobs");
                     for copy in 0..count {
                         let seed = ideal_copy_seed(config.seed, copy);
@@ -684,10 +628,7 @@ impl Engine {
                         cohort_of.push((job, copy));
                     }
                 }
-                JobKind::Dynamic(_) if fusable => {
-                    let config = effective_dyn[job]
-                        .as_ref()
-                        .expect("dynamic job has a config");
+                JobKind::Dynamic(config) if fusion => {
                     for copy in 0..count {
                         let seed = dynamic_copy_seed(config.seed, copy);
                         dyn_cohort.push(
@@ -736,21 +677,12 @@ impl Engine {
         // leaving them idle. With a cohort on the queue the spare capacity
         // already has sweep shards to claim — nesting a second pool under
         // each task would only oversubscribe the machine.
-        let job_mode = |job: usize| {
-            effective[job]
-                .as_ref()
-                .map(|c| c.rng_mode)
-                .or_else(|| effective_dyn[job].as_ref().map(|c| c.rng_mode))
-                .unwrap_or_default()
-        };
         // Turnstile tasks on an edge snapshot always run unsharded (the
         // sharded dynamic view lives on the update-snapshot path), so they
         // are excluded from the shard plan.
         let shardable = tasks.iter().any(|task| {
             !matches!(task, Task::DynamicCopy { .. })
-                && jobs[task.job()]
-                    .kind
-                    .supports_intra_task_sharding(job_mode(task.job()))
+                && jobs[task.job()].kind.supports_intra_task_sharding()
         });
         let shard_workers =
             if self.config.intra_task_sharding && shardable && !tasks.is_empty() && !any_cohort {
@@ -771,14 +703,11 @@ impl Engine {
         // the copy on the fused tier), the job index for baselines.
         let task_fault_key = |task: &Task| match *task {
             Task::MainCopy { job, copy } | Task::IdealCopy { job, copy } => {
-                let seed = effective[job].as_ref().map(|c| c.seed).unwrap_or_default();
+                let seed = configs[job].map(|c| c.seed).unwrap_or_default();
                 main_copy_seed(seed, copy)
             }
             Task::DynamicCopy { job, copy } => {
-                let seed = effective_dyn[job]
-                    .as_ref()
-                    .map(|c| c.seed)
-                    .unwrap_or_default();
+                let seed = dyn_configs[job].map(|c| c.seed).unwrap_or_default();
                 dynamic_copy_seed(seed, copy)
             }
             Task::Baseline { job } => job as u64,
@@ -786,7 +715,7 @@ impl Engine {
 
         // One per-copy task body, shared by every pool worker; panics are
         // caught at the queue-job layer below.
-        let run_task = |scratch: &mut EstimatorScratch, i: usize| -> (TaskOutput, Duration) {
+        let run_task = |i: usize| -> (TaskOutput, Duration) {
             let task_started = Instant::now();
             let job = tasks[i].job();
             // Cut checks before any work: cancellation, then this
@@ -818,47 +747,35 @@ impl Engine {
             }
             let output = match tasks[i] {
                 Task::MainCopy { job, copy } => {
-                    let config = effective[job].as_ref().expect("main job has a config");
+                    let config = configs[job].expect("main job has a config");
                     let result = match &sharded_view {
-                        Some(view) => run_main_copy_sharded(
-                            view,
-                            config,
-                            copy,
-                            batch,
-                            intra_task_workers,
-                            scratch,
-                        ),
-                        None => run_main_copy_with(&plain, config, copy, batch, scratch),
+                        Some(view) => {
+                            run_main_copy_sharded(view, config, copy, batch, intra_task_workers)
+                        }
+                        None => run_main_copy_with(&plain, config, copy, batch),
                     };
                     TaskOutput::Copy(result.map(|o| CopyContribution::from(&o)))
                 }
                 Task::IdealCopy { job, copy } => {
-                    let config = effective[job].as_ref().expect("ideal job has a config");
+                    let config = configs[job].expect("ideal job has a config");
                     // Copies share the degree table by reference; StreamStats
                     // answers degree queries directly.
                     let stats = ideal_stats.as_ref().expect("stats built for ideal jobs");
                     let result = match &sharded_view {
-                        Some(view)
-                            if jobs[job].kind.supports_intra_task_sharding(job_mode(job)) =>
-                        {
-                            run_ideal_copy_sharded(
-                                view,
-                                stats,
-                                config,
-                                copy,
-                                batch,
-                                intra_task_workers,
-                                scratch,
-                            )
-                        }
-                        _ => run_ideal_copy_with(&plain, stats, config, copy, batch, scratch),
+                        Some(view) => run_ideal_copy_sharded(
+                            view,
+                            stats,
+                            config,
+                            copy,
+                            batch,
+                            intra_task_workers,
+                        ),
+                        None => run_ideal_copy_with(&plain, stats, config, copy, batch),
                     };
                     TaskOutput::Copy(result.map(|o| CopyContribution::from(&o)))
                 }
                 Task::DynamicCopy { job, copy } => {
-                    let config = effective_dyn[job]
-                        .as_ref()
-                        .expect("dynamic job has a config");
+                    let config = dyn_configs[job].expect("dynamic job has a config");
                     TaskOutput::Dynamic(run_dynamic_copy_with(&dyn_plain, config, copy, batch))
                 }
                 Task::Baseline { job } => {
@@ -895,45 +812,44 @@ impl Engine {
             tasks.iter().map(|_| Mutex::new(None)).collect();
         let mut trace: Vec<PassTrace> = Vec::new();
         let mut dyn_trace: Vec<PassTrace> = Vec::new();
-        let (cohort_outcome, dyn_outcome) =
-            run_queued(pool_workers, EstimatorScratch::new, |scope| {
-                for i in 0..tasks.len() {
-                    let slots = &task_slots;
-                    let run_task = &run_task;
-                    scope.submit(Box::new(move |scratch: &mut EstimatorScratch| {
-                        let result = catch_unwind(AssertUnwindSafe(|| run_task(scratch, i)));
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                    }));
-                }
-                let cohort_outcome = drive_edge_cohort(
-                    &mut cohort,
-                    &cancel,
-                    num_vertices,
-                    edges,
-                    batch,
-                    cohort_workers,
-                    cohort_shards,
-                    recorder,
-                    0,
-                    &mut trace,
-                    scope,
-                );
-                let dyn_outcome: CohortOutcome = drive_cohort(
-                    &mut dyn_cohort,
-                    &mut dyn_meta,
-                    &cancel,
-                    num_vertices,
-                    &dyn_updates,
-                    batch,
-                    cohort_workers,
-                    cohort_shards,
-                    recorder,
-                    0,
-                    &mut dyn_trace,
-                    scope,
-                );
-                (cohort_outcome, dyn_outcome)
-            });
+        let (cohort_outcome, dyn_outcome) = run_queued(pool_workers, |scope| {
+            for i in 0..tasks.len() {
+                let slots = &task_slots;
+                let run_task = &run_task;
+                scope.submit(Box::new(move || {
+                    let result = catch_unwind(AssertUnwindSafe(|| run_task(i)));
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+                }));
+            }
+            let cohort_outcome = drive_edge_cohort(
+                &mut cohort,
+                &cancel,
+                num_vertices,
+                edges,
+                batch,
+                cohort_workers,
+                cohort_shards,
+                recorder,
+                0,
+                &mut trace,
+                scope,
+            );
+            let dyn_outcome: CohortOutcome = drive_cohort(
+                &mut dyn_cohort,
+                &mut dyn_meta,
+                &cancel,
+                num_vertices,
+                &dyn_updates,
+                batch,
+                cohort_workers,
+                cohort_shards,
+                recorder,
+                0,
+                &mut dyn_trace,
+                scope,
+            );
+            (cohort_outcome, dyn_outcome)
+        });
         let outputs: Vec<std::thread::Result<(TaskOutput, Duration)>> = task_slots
             .into_iter()
             .map(|slot| {
@@ -1091,24 +1007,10 @@ impl Engine {
             main_meta,
             ideals,
             ideal_meta,
-            seqs,
-            seq_meta,
         } = cohort;
         finish_members(
             mains,
             &main_meta,
-            &mut job_errors,
-            &mut copy_errors,
-            &mut contributions,
-            |s| {
-                s.finish()
-                    .map(|o| CopyContribution::from(&o))
-                    .map_err(EngineError::from)
-            },
-        );
-        finish_members(
-            seqs,
-            &seq_meta,
             &mut job_errors,
             &mut copy_errors,
             &mut contributions,
@@ -1149,7 +1051,6 @@ impl Engine {
         // exactly as they would for an independent task.
         let mut retry_tally = RetryTally::default();
         if copy_errors.iter().any(|e| !e.is_empty()) {
-            let mut scratch = EstimatorScratch::new();
             retry_failed_copies(
                 &retry_of,
                 &deadline_at,
@@ -1173,15 +1074,11 @@ impl Engine {
                     if faults::ENABLED {
                         let key = match &jobs[job].kind {
                             JobKind::Dynamic(_) => {
-                                let seed = effective_dyn[job]
-                                    .as_ref()
-                                    .map(|c| c.seed)
-                                    .unwrap_or_default();
+                                let seed = dyn_configs[job].map(|c| c.seed).unwrap_or_default();
                                 dynamic_copy_seed(seed, copy)
                             }
                             _ => {
-                                let seed =
-                                    effective[job].as_ref().map(|c| c.seed).unwrap_or_default();
+                                let seed = configs[job].map(|c| c.seed).unwrap_or_default();
                                 main_copy_seed(seed, copy)
                             }
                         };
@@ -1203,23 +1100,16 @@ impl Engine {
                         Dynamic(DynamicCopyOutcome),
                     }
                     let caught = catch_unwind(AssertUnwindSafe(|| match &jobs[job].kind {
-                        JobKind::Main(_) => {
-                            let config = effective[job].as_ref().expect("main job has a config");
-                            run_main_copy_with(&plain, config, copy, batch, &mut scratch)
-                                .map(|o| Retried::Copy(CopyContribution::from(&o)))
-                                .map_err(EngineError::from)
-                        }
-                        JobKind::Ideal(_) => {
-                            let config = effective[job].as_ref().expect("ideal job has a config");
+                        JobKind::Main(config) => run_main_copy_with(&plain, config, copy, batch)
+                            .map(|o| Retried::Copy(CopyContribution::from(&o)))
+                            .map_err(EngineError::from),
+                        JobKind::Ideal(config) => {
                             let stats = ideal_stats.as_ref().expect("stats built for ideal jobs");
-                            run_ideal_copy_with(&plain, stats, config, copy, batch, &mut scratch)
+                            run_ideal_copy_with(&plain, stats, config, copy, batch)
                                 .map(|o| Retried::Copy(CopyContribution::from(&o)))
                                 .map_err(EngineError::from)
                         }
-                        JobKind::Dynamic(_) => {
-                            let config = effective_dyn[job]
-                                .as_ref()
-                                .expect("dynamic job has a config");
+                        JobKind::Dynamic(config) => {
                             run_dynamic_copy_with(&dyn_plain, config, copy, batch)
                                 .map(Retried::Dynamic)
                                 .map_err(EngineError::from)
@@ -1406,7 +1296,6 @@ impl Engine {
             stats: EngineStats::from_run(
                 pool_workers,
                 intra_task_workers.max(if fused_sweeps > 0 { cohort_workers } else { 1 }),
-                self.config.rng_mode,
                 tasks.len() + cohort_copies,
                 usize::from(edge_members > 0) + usize::from(dyn_members > 0),
                 sweeps,
@@ -1443,9 +1332,8 @@ impl Engine {
 
         // Reject invalid configurations before any work starts.
         self.config.validate()?;
-        // The configuration each job actually runs with: the engine's
-        // rng_mode override applied on top of the submitted one.
-        let mut effective: Vec<DynamicEstimatorConfig> = Vec::with_capacity(jobs.len());
+        // Each job's turnstile configuration.
+        let mut configs: Vec<&DynamicEstimatorConfig> = Vec::with_capacity(jobs.len());
         for spec in &jobs {
             let JobKind::Dynamic(config) = &spec.kind else {
                 return Err(EngineError::unsupported_job(format!(
@@ -1454,12 +1342,8 @@ impl Engine {
                     spec.label
                 )));
             };
-            let mut config = config.clone();
-            if let Some(mode) = self.config.rng_mode {
-                config.rng_mode = mode;
-            }
             config.validate().map_err(EngineError::from)?;
-            effective.push(config);
+            configs.push(config);
         }
         if !jobs.is_empty() && updates.is_empty() {
             return Err(EngineError::Dynamic(DynamicError::EmptyStream));
@@ -1500,10 +1384,9 @@ impl Engine {
         let mut copy_errors: Vec<Vec<(usize, EngineError)>> =
             jobs.iter().map(|_| Vec::new()).collect();
 
-        // Tier split: counter-mode copies fuse into one cohort; sequential
-        // copies run per-copy over the plain view.
-        let job_fusable =
-            |job: usize| self.fusion_enabled() && effective[job].rng_mode == RngMode::Counter;
+        // Tier split: with fusion enabled every copy joins one cohort;
+        // otherwise copies run as per-copy tasks.
+        let fusion = self.fusion_enabled();
         let formation_started = Instant::now();
         let mut cohort: Vec<DynamicCopyStages> = Vec::new();
         let mut cohort_of: Vec<(usize, usize)> = Vec::new();
@@ -1511,13 +1394,13 @@ impl Engine {
         let mut tasks: Vec<(usize, usize)> = Vec::new();
         for (job, spec) in jobs.iter().enumerate() {
             for copy in 0..spec.kind.task_count() {
-                if job_fusable(job) {
+                if fusion {
                     cohort.push(
                         DynamicCopyStages::new(
-                            &effective[job],
+                            configs[job],
                             updates.len(),
                             num_vertices,
-                            dynamic_copy_seed(effective[job].seed, copy),
+                            dynamic_copy_seed(configs[job].seed, copy),
                         )
                         .map_err(EngineError::from)?,
                     );
@@ -1526,7 +1409,7 @@ impl Engine {
                         group: job,
                         copy,
                         deadline: deadline_at[job],
-                        fault_key: dynamic_copy_seed(effective[job].seed, copy),
+                        fault_key: dynamic_copy_seed(configs[job].seed, copy),
                         contained: contained[job],
                     });
                 } else {
@@ -1546,19 +1429,12 @@ impl Engine {
 
         // Intra-copy shard plan for the per-copy tier, mirroring the edge
         // scheduler (including its rule that a cohort on the shared queue
-        // suppresses nested per-task pools).
-        let job_shardable = |job: usize| {
-            jobs[job]
-                .kind
-                .supports_intra_task_sharding(effective[job].rng_mode)
+        // suppresses nested per-task pools). Every turnstile copy shards.
+        let shard_workers = if self.config.intra_task_sharding && !tasks.is_empty() && !any_cohort {
+            (self.config.workers / tasks.len()).max(1)
+        } else {
+            1
         };
-        let shardable = tasks.iter().any(|&(job, _)| job_shardable(job));
-        let shard_workers =
-            if self.config.intra_task_sharding && shardable && !tasks.is_empty() && !any_cohort {
-                (self.config.workers / tasks.len()).max(1)
-            } else {
-                1
-            };
         let sharded_view: Option<ShardedDynamicStream<'_>> = (shard_workers > 1).then(|| {
             ShardedDynamicStream::new(num_vertices, updates, shard_workers * SHARDS_PER_WORKER)
         });
@@ -1572,7 +1448,7 @@ impl Engine {
         // scheduler; the fault key is the copy's dynamic per-copy seed.
         let run_task = |i: usize| -> (DynTaskOutput, Duration) {
             let (job, copy) = tasks[i];
-            let config = &effective[job];
+            let config = configs[job];
             let task_started = Instant::now();
             let cut = if cancel.is_cancelled() {
                 Some(EngineError::Cancelled {
@@ -1598,10 +1474,8 @@ impl Engine {
                 return (DynTaskOutput::Cut(error), task_started.elapsed());
             }
             let output = match &sharded_view {
-                Some(view) if job_shardable(job) => {
-                    run_dynamic_copy_sharded(view, config, copy, batch, shard_workers)
-                }
-                _ => run_dynamic_copy_with(&plain, config, copy, batch),
+                Some(view) => run_dynamic_copy_sharded(view, config, copy, batch, shard_workers),
+                None => run_dynamic_copy_with(&plain, config, copy, batch),
             };
             let spent = task_started.elapsed();
             if R::ENABLED {
@@ -1625,34 +1499,30 @@ impl Engine {
         let task_slots: Vec<TaskSlot<DynTaskOutput>> =
             tasks.iter().map(|_| Mutex::new(None)).collect();
         let mut trace: Vec<PassTrace> = Vec::new();
-        let cohort_outcome: CohortOutcome = run_queued(
-            pool_workers,
-            || (),
-            |scope| {
-                for i in 0..tasks.len() {
-                    let slots = &task_slots;
-                    let run_task = &run_task;
-                    scope.submit(Box::new(move |(): &mut ()| {
-                        let result = catch_unwind(AssertUnwindSafe(|| run_task(i)));
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                    }));
-                }
-                drive_cohort(
-                    &mut cohort,
-                    &mut meta,
-                    &cancel,
-                    num_vertices,
-                    updates,
-                    batch,
-                    cohort_workers,
-                    cohort_shards,
-                    recorder,
-                    0,
-                    &mut trace,
-                    scope,
-                )
-            },
-        );
+        let cohort_outcome: CohortOutcome = run_queued(pool_workers, |scope| {
+            for i in 0..tasks.len() {
+                let slots = &task_slots;
+                let run_task = &run_task;
+                scope.submit(Box::new(move || {
+                    let result = catch_unwind(AssertUnwindSafe(|| run_task(i)));
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+                }));
+            }
+            drive_cohort(
+                &mut cohort,
+                &mut meta,
+                &cancel,
+                num_vertices,
+                updates,
+                batch,
+                cohort_workers,
+                cohort_shards,
+                recorder,
+                0,
+                &mut trace,
+                scope,
+            )
+        });
         let outputs: Vec<std::thread::Result<(DynTaskOutput, Duration)>> = task_slots
             .into_iter()
             .map(|slot| {
@@ -1777,7 +1647,7 @@ impl Engine {
                     if faults::ENABLED
                         && faults::injected(
                             faults::FaultSite::TaskStart,
-                            dynamic_copy_seed(effective[job].seed, copy),
+                            dynamic_copy_seed(configs[job].seed, copy),
                         )
                     {
                         return Err(EngineError::Dynamic(DynamicError::Injected {
@@ -1785,7 +1655,7 @@ impl Engine {
                         }));
                     }
                     let caught = catch_unwind(AssertUnwindSafe(|| {
-                        run_dynamic_copy_with(&plain, &effective[job], copy, batch)
+                        run_dynamic_copy_with(&plain, configs[job], copy, batch)
                     }));
                     let spent = attempt_started.elapsed();
                     busy_per_job[job] += spent;
@@ -1905,7 +1775,6 @@ impl Engine {
             stats: EngineStats::from_run(
                 pool_workers,
                 intra_task_workers.max(if fused_sweeps > 0 { cohort_workers } else { 1 }),
-                self.config.rng_mode,
                 tasks.len() + cohort_copies,
                 usize::from(cohort_copies > 0),
                 sweeps,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use degentri_core::RngMode;
-
 /// Throughput statistics for one [`Engine::run`](crate::Engine::run).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineStats {
@@ -14,11 +12,6 @@ pub struct EngineStats {
     /// (1 = copy-level parallelism only; > 1 = spare workers were folded
     /// into intra-copy sharded passes).
     pub intra_task_workers: usize,
-    /// The randomness regime the run forced onto its jobs (`None` = each
-    /// job kept its own `EstimatorConfig::rng_mode`). Under
-    /// [`RngMode::Counter`] the intra-copy workers cover **every** pass;
-    /// under [`RngMode::Sequential`] only the order-insensitive ones.
-    pub rng_mode: Option<RngMode>,
     /// Tasks (estimator copies + baseline runs) executed.
     pub tasks: usize,
     /// Fused cohorts the run executed (counter-mode copies grouped so each
@@ -105,7 +98,6 @@ impl EngineStats {
     pub(crate) fn from_run(
         workers: usize,
         intra_task_workers: usize,
-        rng_mode: Option<RngMode>,
         tasks: usize,
         fused_cohorts: usize,
         sweeps_executed: u64,
@@ -124,7 +116,6 @@ impl EngineStats {
         EngineStats {
             workers,
             intra_task_workers,
-            rng_mode,
             tasks,
             fused_cohorts,
             sweeps_executed,
@@ -199,7 +190,6 @@ mod tests {
         let stats = EngineStats::from_run(
             4,
             2,
-            Some(RngMode::Counter),
             10,
             1,
             20,
@@ -219,7 +209,6 @@ mod tests {
         );
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.intra_task_workers, 2);
-        assert_eq!(stats.rng_mode, Some(RngMode::Counter));
         assert_eq!(stats.fused_cohorts, 1);
         assert_eq!(stats.sweeps_executed, 20);
         assert_eq!(stats.fused_sweeps, 6);
@@ -245,7 +234,6 @@ mod tests {
         let stats = EngineStats::from_run(
             4,
             2,
-            Some(RngMode::Counter),
             10,
             1,
             20,
@@ -279,7 +267,6 @@ mod tests {
         let clean = EngineStats::from_run(
             2,
             1,
-            None,
             4,
             1,
             6,
@@ -306,7 +293,6 @@ mod tests {
         let stats = EngineStats::from_run(
             1,
             1,
-            None,
             1,
             0,
             0,

@@ -1,9 +1,9 @@
 //! Engine-vs-standalone parity for the turnstile estimator: a
 //! [`JobKind::Dynamic`] job scheduled by the engine must reproduce the
 //! standalone [`DynamicTriangleEstimator::run`] bit for bit — across
-//! worker counts, in both randomness regimes, with and without the
-//! spare-worker sharded path — because copies carry the same derived
-//! seeds and the median aggregation is shared.
+//! worker counts, with and without the spare-worker sharded path —
+//! because copies carry the same derived seeds and the median aggregation
+//! is shared.
 
 use degentri_core::RngMode;
 use degentri_dynamic::{DynamicEstimatorConfig, DynamicOutcome, DynamicTriangleEstimator};
@@ -46,38 +46,28 @@ fn assert_same(engine: &degentri_engine::JobResult, standalone: &DynamicOutcome,
 #[test]
 fn engine_matches_standalone_across_workers_and_modes() {
     let (stream, config) = workload();
-    for mode in [RngMode::Sequential, RngMode::Counter] {
-        let standalone = DynamicTriangleEstimator::new(config.clone().with_rng_mode(mode))
-            .run(&stream)
-            .unwrap();
-        for workers in [1usize, 2, 4] {
-            let mut engine = Engine::new(
-                EngineConfig::builder()
-                    .workers(workers)
-                    .rng_mode(mode)
-                    .try_build()
-                    .unwrap(),
-            );
-            engine.submit(JobSpec::dynamic("turnstile", config.clone()));
-            let report = engine.run_dynamic(&stream).unwrap();
-            assert_same(
-                &report.jobs[0],
-                &standalone,
-                &format!("{mode:?} workers {workers}"),
-            );
-            assert_eq!(report.stats.rng_mode, Some(mode));
-            assert_eq!(report.stats.tasks, config.copies);
-            assert!(report.stats.edges_streamed > 0);
-        }
+    let standalone = DynamicTriangleEstimator::new(config.clone())
+        .run(&stream)
+        .unwrap();
+    for workers in [1usize, 2, 4] {
+        let mut engine = Engine::new(
+            EngineConfig::builder()
+                .workers(workers)
+                .try_build()
+                .unwrap(),
+        );
+        engine.submit(JobSpec::dynamic("turnstile", config.clone()));
+        let report = engine.run_dynamic(&stream).unwrap();
+        assert_same(&report.jobs[0], &standalone, &format!("workers {workers}"));
+        assert_eq!(report.stats.tasks, config.copies);
+        assert!(report.stats.edges_streamed > 0);
     }
 }
 
 #[test]
 fn engine_forces_counter_mode_by_default() {
     let (stream, config) = workload();
-    // The submitted job asks for the sequential regime; the engine default
-    // overrides it to counter mode, so the result must equal a standalone
-    // counter-mode run.
+    // The engine's result must equal a standalone counter-mode run.
     let counter = DynamicTriangleEstimator::new(config.clone().with_rng_mode(RngMode::Counter))
         .run(&stream)
         .unwrap();
@@ -85,22 +75,6 @@ fn engine_forces_counter_mode_by_default() {
     engine.submit(JobSpec::dynamic("forced", config.clone()));
     let report = engine.run_dynamic(&stream).unwrap();
     assert_same(&report.jobs[0], &counter, "forced counter");
-
-    // job_rng_mode() makes the engine respect the job's own regime.
-    let sequential = DynamicTriangleEstimator::new(config.clone())
-        .run(&stream)
-        .unwrap();
-    let mut engine = Engine::new(
-        EngineConfig::builder()
-            .workers(2)
-            .job_rng_mode()
-            .try_build()
-            .unwrap(),
-    );
-    engine.submit(JobSpec::dynamic("respected", config));
-    let report = engine.run_dynamic(&stream).unwrap();
-    assert_same(&report.jobs[0], &sequential, "respected sequential");
-    assert_eq!(report.stats.rng_mode, None);
 }
 
 #[test]
@@ -133,18 +107,6 @@ fn spare_workers_shard_counter_mode_copies_bit_identically() {
         sharded.jobs[0].estimation().copy_estimates,
         plain.jobs[0].estimation().copy_estimates
     );
-
-    // Under a forced sequential regime the dynamic job does not shard.
-    let mut sequential = Engine::new(
-        EngineConfig::builder()
-            .workers(8)
-            .rng_mode(RngMode::Sequential)
-            .try_build()
-            .unwrap(),
-    );
-    sequential.submit(JobSpec::dynamic("sequential", config));
-    let report = sequential.run_dynamic(&stream).unwrap();
-    assert_eq!(report.stats.intra_task_workers, 1);
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! reproduce per-copy scheduling bit for bit — for both estimators,
 //! across copies × shards × workers, and for any cohort grouping.
 
+use degentri_baselines::{ExactStreamCounter, StreamingTriangleCounter};
 use degentri_core::{
     main_copy_seed, EstimatorConfig, MainCopyStages, MainStageAcc, RngMode, TriangleEstimation,
 };
@@ -290,38 +291,28 @@ fn mixed_batches_run_fused_and_per_copy_tiers_together() {
     let stream = workload();
     let m = degentri_stream::EdgeStream::num_edges(&stream) as u64;
     let counter = main_config(3, 9);
-    let mut sequential = counter.clone();
-    sequential.rng_mode = RngMode::Sequential;
-    // The engine respects each job's own mode here: the counter job fuses
-    // every pass; the sequential job joins the cohort for its
-    // order-insensitive passes and runs only its private RNG passes
-    // per-copy. Both match their standalone runs.
-    let mut engine = Engine::new(
-        EngineConfig::builder()
-            .workers(2)
-            .job_rng_mode()
-            .try_build()
-            .unwrap(),
-    );
+    // The estimator job fuses every pass; the baseline job runs as a
+    // per-copy task on the same pool. Both match their standalone runs.
+    let mut engine = Engine::new(EngineConfig::builder().workers(2).try_build().unwrap());
     engine.submit(JobSpec::main("counter", counter.clone()));
-    engine.submit(JobSpec::main("sequential", sequential.clone()));
+    engine.submit(JobSpec::baseline(
+        "exact",
+        Box::new(ExactStreamCounter::new()),
+    ));
     let report = engine.run(&stream).unwrap();
     assert_eq!(report.stats.fused_cohorts, 1);
-    // 6 shared cohort sweeps (the sequential job rides the
-    // order-insensitive passes 1/3/5) + 3 sequential copies × 3 private
-    // RNG passes.
-    assert_eq!(report.stats.sweeps_executed, 6 + 9);
-    assert_eq!(report.stats.edges_streamed, (6 + 9) * m);
+    // 6 shared cohort sweeps + the baseline's single pass.
+    assert_eq!(report.stats.sweeps_executed, 6 + 1);
+    assert_eq!(report.stats.fused_sweeps, 6);
+    assert_eq!(report.stats.per_copy_sweeps, 1);
+    assert_eq!(report.stats.edges_streamed, (6 + 1) * m);
     let counter_direct = degentri_core::estimate_triangles(&stream, &counter).unwrap();
-    let sequential_direct = degentri_core::estimate_triangles(&stream, &sequential).unwrap();
     assert_eq!(
         report.jobs[0].estimation().copy_estimates,
         counter_direct.copy_estimates
     );
-    assert_eq!(
-        report.jobs[1].estimation().copy_estimates,
-        sequential_direct.copy_estimates
-    );
+    let exact_direct = ExactStreamCounter::new().estimate(&stream);
+    assert_eq!(report.jobs[1].estimation().estimate, exact_direct.estimate);
 }
 
 proptest! {

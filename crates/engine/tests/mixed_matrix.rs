@@ -1,8 +1,8 @@
-//! Mixed-kind batch parity: one engine run carrying main (counter *and*
-//! sequential regime), ideal, and dynamic jobs over a single edge snapshot
-//! must reproduce every job's isolated run bit for bit — the fusion matrix
-//! (kind × rng regime) only changes how many physical sweeps the batch
-//! costs, never any copy's estimate.
+//! Mixed-kind batch parity: one engine run carrying main, ideal, and
+//! dynamic jobs over a single edge snapshot must reproduce every job's
+//! isolated run bit for bit — the fusion matrix (one cell per job kind)
+//! only changes how many physical sweeps the batch costs, never any
+//! copy's estimate.
 
 use degentri_core::{
     estimate_triangles, estimate_triangles_with_oracle, EstimatorConfig, ExactDegreeOracle,
@@ -18,7 +18,7 @@ fn workload() -> MemoryStream {
     MemoryStream::from_graph(&graph, StreamOrder::UniformRandom(6))
 }
 
-fn main_config(copies: usize, seed: u64, mode: RngMode) -> EstimatorConfig {
+fn main_config(copies: usize, seed: u64) -> EstimatorConfig {
     EstimatorConfig::builder()
         .epsilon(0.15)
         .kappa(5)
@@ -28,7 +28,6 @@ fn main_config(copies: usize, seed: u64, mode: RngMode) -> EstimatorConfig {
         .assignment_constant(6.0)
         .copies(copies)
         .seed(seed)
-        .rng_mode(mode)
         .try_build()
         .unwrap()
 }
@@ -73,21 +72,19 @@ fn assert_estimation_eq(actual: &TriangleEstimation, expected: &TriangleEstimati
     );
 }
 
-/// All four matrix cells in one batch, across worker counts and ragged
+/// All three matrix cells in one batch, across worker counts and ragged
 /// chunk boundaries: every job is bit-identical to its isolated run, and
 /// the batch's physical sweep count collapses far below the unfused sum.
 #[test]
 fn mixed_kind_batches_match_isolated_runs_bit_for_bit() {
     let stream = workload();
-    let counter = main_config(3, 41, RngMode::Counter);
-    let sequential = main_config(3, 42, RngMode::Sequential);
-    let ideal = main_config(3, 43, RngMode::Counter);
+    let counter = main_config(3, 41);
+    let ideal = main_config(3, 43);
     let dynamic = dyn_config(3, 44);
 
     // Isolated references, computed once: the public sequential-runner
     // entry points (scheduling must never change what they produce).
     let counter_ref = estimate_triangles(&stream, &counter).unwrap();
-    let sequential_ref = estimate_triangles(&stream, &sequential).unwrap();
     let oracle = ExactDegreeOracle::build(&stream);
     let ideal_ref = estimate_triangles_with_oracle(&stream, &oracle, &ideal).unwrap();
     let dynamic_ref = dynamic_reference(&stream, &dynamic);
@@ -98,38 +95,33 @@ fn mixed_kind_batches_match_isolated_runs_bit_for_bit() {
                 EngineConfig::builder()
                     .workers(workers)
                     .batch_size(batch)
-                    .job_rng_mode()
                     .try_build()
                     .unwrap(),
             );
             engine.submit(JobSpec::main("counter", counter.clone()));
-            engine.submit(JobSpec::main("sequential", sequential.clone()));
             engine.submit(JobSpec::ideal("ideal", ideal.clone()));
             engine.submit(JobSpec::dynamic("dynamic", dynamic.clone()));
             let report = engine.run(&stream).unwrap();
             let what = format!("workers {workers} batch {batch}");
 
             assert_estimation_eq(report.jobs[0].estimation(), &counter_ref, &what);
-            assert_estimation_eq(report.jobs[1].estimation(), &sequential_ref, &what);
-            assert_estimation_eq(report.jobs[2].estimation(), &ideal_ref, &what);
+            assert_estimation_eq(report.jobs[1].estimation(), &ideal_ref, &what);
             assert_eq!(
-                report.jobs[3].estimation().copy_estimates,
+                report.jobs[2].estimation().copy_estimates,
                 dynamic_ref.copy_estimates,
                 "{what}: dynamic copies"
             );
             assert_eq!(
-                report.jobs[3].estimation().estimate.to_bits(),
+                report.jobs[2].estimation().estimate.to_bits(),
                 dynamic_ref.estimate.to_bits(),
                 "{what}: dynamic aggregate"
             );
 
             // Sweep accounting: 6 shared six-pass sweeps serve the counter
-            // job entirely, the ideal job's 3 passes, and the sequential
-            // job's order-insensitive passes 1/3/5; the sequential job adds
-            // 3 private RNG passes per copy, the dynamic cohort adds its 4
-            // turnstile sweeps, and the oracle stats pass adds 1.
-            let fused_total = 6 + 3 * 3 + 4 + 1;
-            let unfused_total = 3 * 6 + 3 * 6 + 3 * 3 + 3 * 4 + 1;
+            // job entirely and the ideal job's 3 passes; the dynamic cohort
+            // adds its 4 turnstile sweeps, and the oracle stats pass adds 1.
+            let fused_total = 6 + 4 + 1;
+            let unfused_total = 3 * 6 + 3 * 3 + 3 * 4 + 1;
             assert_eq!(report.stats.sweeps_executed, fused_total, "{what}");
             assert!(
                 report.stats.sweeps_executed < unfused_total,
@@ -151,7 +143,7 @@ fn mixed_kind_batches_match_isolated_runs_bit_for_bit() {
 #[test]
 fn unfused_mixed_batch_matches_fused_results() {
     let stream = workload();
-    let counter = main_config(2, 7, RngMode::Counter);
+    let counter = main_config(2, 7);
     let dynamic = dyn_config(2, 8);
 
     let run = |fused: bool| {
@@ -185,27 +177,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random mixed-kind cohort groupings with ragged pass budgets (ideal
-    /// members retire after 3 passes, dynamic after 4, sequential members
-    /// only attend half the stages) never change any copy's estimate.
+    /// members retire after 3 passes, dynamic after 4) never change any
+    /// copy's estimate.
     #[test]
     fn ragged_mixed_groupings_never_change_any_copys_estimate(
-        job_shapes in proptest::collection::vec((0usize..4, 1usize..4, 0u64..1000), 1..5),
+        job_shapes in proptest::collection::vec((0usize..3, 1usize..4, 0u64..1000), 1..5),
         workers in 1usize..5,
     ) {
         let stream = workload();
         let mut engine = Engine::new(
             EngineConfig::builder()
                 .workers(workers)
-                .job_rng_mode()
                 .try_build()
                 .unwrap(),
         );
         for (i, &(kind, copies, seed)) in job_shapes.iter().enumerate() {
             let label = format!("job-{i}");
             let _ = match kind {
-                0 => engine.submit(JobSpec::main(label, main_config(copies, seed, RngMode::Counter))),
-                1 => engine.submit(JobSpec::main(label, main_config(copies, seed, RngMode::Sequential))),
-                2 => engine.submit(JobSpec::ideal(label, main_config(copies, seed, RngMode::Counter))),
+                0 => engine.submit(JobSpec::main(label, main_config(copies, seed))),
+                1 => engine.submit(JobSpec::ideal(label, main_config(copies, seed))),
                 _ => engine.submit(JobSpec::dynamic(label, dyn_config(copies, seed))),
             };
         }
@@ -215,21 +205,14 @@ proptest! {
             match kind {
                 0 => {
                     let reference =
-                        estimate_triangles(&stream, &main_config(copies, seed, RngMode::Counter))
-                            .unwrap();
+                        estimate_triangles(&stream, &main_config(copies, seed)).unwrap();
                     prop_assert_eq!(&job.estimation().copy_estimates, &reference.copy_estimates);
                 }
                 1 => {
-                    let reference =
-                        estimate_triangles(&stream, &main_config(copies, seed, RngMode::Sequential))
-                            .unwrap();
-                    prop_assert_eq!(&job.estimation().copy_estimates, &reference.copy_estimates);
-                }
-                2 => {
                     let reference = estimate_triangles_with_oracle(
                         &stream,
                         &oracle,
-                        &main_config(copies, seed, RngMode::Counter),
+                        &main_config(copies, seed),
                     )
                     .unwrap();
                     prop_assert_eq!(&job.estimation().copy_estimates, &reference.copy_estimates);

@@ -1,18 +1,15 @@
 //! Engine ↔ sequential-runner parity and determinism.
 //!
 //! The engine's contract is that parallelism changes wall-clock time only:
-//! for the same configuration, seed and **effective randomness regime** it
-//! must produce bit-identical `estimate` and `copy_estimates` to
-//! `degentri_core`'s sequential runner, at every worker count, on every
-//! run. The engine forces `RngMode::Counter` onto its jobs by default, so
-//! engine runs are compared against the sequential runner executing the
-//! same counter-mode configuration; the sequential-regime parity is
-//! asserted through `job_rng_mode()` (respect-the-job override) and the
-//! `parallel_estimate_*` entry points, which never override.
+//! for the same configuration and seed it must produce bit-identical
+//! `estimate` and `copy_estimates` to `degentri_core`'s sequential
+//! (one-copy-at-a-time) runner, at every worker count, on every run —
+//! through the scheduler and through the `parallel_estimate_*` entry
+//! points alike.
 
 use degentri_baselines::{ExactStreamCounter, StreamingTriangleCounter, TriestImpr};
 use degentri_core::{
-    estimate_triangles, estimate_triangles_with_oracle, EstimatorConfig, ExactDegreeOracle, RngMode,
+    estimate_triangles, estimate_triangles_with_oracle, EstimatorConfig, ExactDegreeOracle,
 };
 use degentri_engine::{
     parallel_estimate_triangles, parallel_estimate_triangles_with_oracle, Engine, EngineConfig,
@@ -33,14 +30,6 @@ fn test_config(kappa: usize, t_hint: u64, copies: usize, seed: u64) -> Estimator
         .seed(seed)
         .try_build()
         .expect("test configuration is valid")
-}
-
-/// The configuration as the engine's default override executes it.
-fn counter_mode(config: &EstimatorConfig) -> EstimatorConfig {
-    EstimatorConfig {
-        rng_mode: RngMode::Counter,
-        ..config.clone()
-    }
 }
 
 #[test]
@@ -87,8 +76,7 @@ fn batch_size_and_sharding_never_change_results() {
     let config = test_config(5, 700, 3, 31);
     let sequential = estimate_triangles(&stream, &config).unwrap();
 
-    // Batch size sweep through the full-config entry point (which never
-    // overrides the job's rng mode).
+    // Batch size sweep through the full-config entry point.
     for batch in [1, 17, 4096, 1 << 20] {
         let engine_config = EngineConfig::builder()
             .workers(2)
@@ -103,9 +91,7 @@ fn batch_size_and_sharding_never_change_results() {
     }
 
     // Engine scheduling: 3 copies on 9 workers shards each copy 3 ways;
-    // the job result must still match the sequential runner executing the
-    // same effective (counter-mode) configuration bit for bit.
-    let sequential_counter = estimate_triangles(&stream, &counter_mode(&config)).unwrap();
+    // the job result must still match the sequential runner bit for bit.
     for sharding in [false, true] {
         let mut engine = Engine::new(
             EngineConfig::builder()
@@ -118,12 +104,12 @@ fn batch_size_and_sharding_never_change_results() {
         let report = engine.run(&stream).unwrap();
         assert_eq!(
             report.jobs[0].estimation().copy_estimates,
-            sequential_counter.copy_estimates,
+            sequential.copy_estimates,
             "sharding = {sharding}"
         );
         assert_eq!(
             report.jobs[0].estimation().estimate.to_bits(),
-            sequential_counter.estimate.to_bits()
+            sequential.estimate.to_bits()
         );
         // With intra-task sharding the fused cohort shards its shared
         // sweeps across the whole pool; without it (and a multi-worker
@@ -134,26 +120,6 @@ fn batch_size_and_sharding_never_change_results() {
             if sharding { 9 } else { 1 }
         );
     }
-
-    // With the respect-the-job override the engine reproduces the
-    // sequential-regime runner exactly as it did before counter mode.
-    let mut engine = Engine::new(
-        EngineConfig::builder()
-            .workers(9)
-            .job_rng_mode()
-            .try_build()
-            .unwrap(),
-    );
-    engine.submit(JobSpec::main("respect", config.clone()));
-    let report = engine.run(&stream).unwrap();
-    assert_eq!(
-        report.jobs[0].estimation().copy_estimates,
-        sequential.copy_estimates
-    );
-    assert_eq!(
-        report.jobs[0].estimation().estimate.to_bits(),
-        sequential.estimate.to_bits()
-    );
 }
 
 #[test]
@@ -163,18 +129,17 @@ fn counter_mode_ideal_jobs_shard_across_spare_workers() {
     let config = test_config(5, 400, 2, 77);
 
     // 8 workers for 2 ideal copies → the copies fuse into one 3-pass
-    // cohort whose shared sweeps shard across the whole pool: legal only
-    // because the engine's counter-mode default makes the ideal
-    // estimator's sampling passes order-insensitive.
+    // cohort whose shared sweeps shard across the whole pool: legal
+    // because counter-based randomness makes the ideal estimator's
+    // sampling passes order-insensitive.
     let mut engine = Engine::with_workers(8);
     engine.submit(JobSpec::ideal("ideal", config.clone()));
     let sharded = engine.run(&stream).unwrap();
     assert_eq!(sharded.stats.intra_task_workers, 8);
     assert_eq!(sharded.stats.fused_cohorts, 1);
-    assert_eq!(sharded.stats.rng_mode, Some(RngMode::Counter));
 
     // Bit-identical to a single worker and to the sequential oracle
-    // runner executing the same effective configuration.
+    // runner.
     let mut engine = Engine::with_workers(1);
     engine.submit(JobSpec::ideal("ideal", config.clone()));
     let single = engine.run(&stream).unwrap();
@@ -184,40 +149,13 @@ fn counter_mode_ideal_jobs_shard_across_spare_workers() {
         single.jobs[0].estimation().copy_estimates
     );
     let oracle = ExactDegreeOracle::build(&stream);
-    let sequential =
-        estimate_triangles_with_oracle(&stream, &oracle, &counter_mode(&config)).unwrap();
+    let sequential = estimate_triangles_with_oracle(&stream, &oracle, &config).unwrap();
     assert_eq!(
         sharded.jobs[0].estimation().copy_estimates,
         sequential.copy_estimates
     );
     assert_eq!(
         sharded.jobs[0].estimation().estimate.to_bits(),
-        sequential.estimate.to_bits()
-    );
-}
-
-#[test]
-fn forced_sequential_engine_matches_sequential_runner() {
-    let graph = wheel(700).unwrap();
-    let stream = MemoryStream::from_graph(&graph, StreamOrder::UniformRandom(4));
-    let config = test_config(3, 349, 4, 19);
-    let sequential = estimate_triangles(&stream, &config).unwrap();
-    let mut engine = Engine::new(
-        EngineConfig::builder()
-            .workers(8)
-            .rng_mode(RngMode::Sequential)
-            .try_build()
-            .unwrap(),
-    );
-    engine.submit(JobSpec::main("forced-sequential", config));
-    let report = engine.run(&stream).unwrap();
-    assert_eq!(report.stats.rng_mode, Some(RngMode::Sequential));
-    assert_eq!(
-        report.jobs[0].estimation().copy_estimates,
-        sequential.copy_estimates
-    );
-    assert_eq!(
-        report.jobs[0].estimation().estimate.to_bits(),
         sequential.estimate.to_bits()
     );
 }
@@ -257,9 +195,8 @@ fn engine_jobs_match_direct_runs_and_report_throughput() {
     let report = engine.run(&stream).unwrap();
     assert_eq!(report.jobs.len(), 4);
 
-    // Main job: identical to the sequential public entry point running the
-    // same effective (counter-mode) configuration.
-    let sequential_main = estimate_triangles(&stream, &counter_mode(&main_config)).unwrap();
+    // Main job: identical to the sequential public entry point.
+    let sequential_main = estimate_triangles(&stream, &main_config).unwrap();
     assert_eq!(report.jobs[0].label, "main");
     assert_eq!(
         report.jobs[0].estimation().copy_estimates,
@@ -272,8 +209,7 @@ fn engine_jobs_match_direct_runs_and_report_throughput() {
 
     // Ideal job: identical to the sequential oracle entry point.
     let oracle = ExactDegreeOracle::build(&stream);
-    let sequential_ideal =
-        estimate_triangles_with_oracle(&stream, &oracle, &counter_mode(&ideal_config)).unwrap();
+    let sequential_ideal = estimate_triangles_with_oracle(&stream, &oracle, &ideal_config).unwrap();
     assert_eq!(
         report.jobs[1].estimation().copy_estimates,
         sequential_ideal.copy_estimates

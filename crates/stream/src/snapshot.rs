@@ -295,12 +295,7 @@ impl<'a, T: Copy + Send + Sync> ShardedSnapshot<'a, T> {
         F: Fn(usize, &[T]) -> A + Sync,
     {
         self.note_pass();
-        run_indexed_pool(
-            workers,
-            self.shards(),
-            || (),
-            |(), s| fold(s, self.shard(s)),
-        )
+        run_indexed_pool(workers, self.shards(), |s| fold(s, self.shard(s)))
     }
 
     /// [`pass_sharded`](Self::pass_sharded) with per-shard wall-clock
@@ -315,16 +310,11 @@ impl<'a, T: Copy + Send + Sync> ShardedSnapshot<'a, T> {
         F: Fn(usize, &[T]) -> A + Sync,
     {
         self.note_pass();
-        run_indexed_pool(
-            workers,
-            self.shards(),
-            || (),
-            |(), s| {
-                let started = Instant::now();
-                let acc = fold(s, self.shard(s));
-                (acc, started.elapsed().as_nanos() as u64)
-            },
-        )
+        run_indexed_pool(workers, self.shards(), |s| {
+            let started = Instant::now();
+            let acc = fold(s, self.shard(s));
+            (acc, started.elapsed().as_nanos() as u64)
+        })
     }
 }
 

@@ -99,17 +99,21 @@
 //! # Quickstart: sharded passes
 //!
 //! Copy-level parallelism saturates once every worker has a copy; beyond
-//! that, a single pass is serialized on one iterator. A [`ShardedStream`]
-//! view partitions the snapshot into contiguous, order-preserving shards so
-//! the estimator's order-insensitive passes (degree counting, closure
-//! marking) run shard-parallel, with per-shard accumulators merged in shard
+//! that, a single pass is serialized on one iterator. Every sampling
+//! decision of the estimators is a pure function of `hash(seed, stream
+//! position, draw index)` (see [`core::rng`] for the position-keyed
+//! reservoir rule), so **every** pass of both insert-only estimators — all
+//! six of Algorithm 2, all three of the ideal estimator — is a fold with an
+//! associative merge. A [`ShardedStream`](stream::ShardedStream) view
+//! partitions the snapshot into contiguous, order-preserving shards; the
+//! passes run shard-parallel, with per-shard accumulators merged in shard
 //! order — bit-identical results at any shard or worker count. The engine
 //! does this automatically whenever it has more workers than runnable
-//! copies (see [`EngineConfig`]'s `intra_task_sharding`); it is also
-//! available directly:
+//! copies (see [`EngineConfig`](engine::EngineConfig)'s
+//! `intra_task_sharding`); it is also available directly:
 //!
 //! ```
-//! use degentri::core::{EstimatorScratch, MainEstimator};
+//! use degentri::core::MainEstimator;
 //! use degentri::prelude::*;
 //! use degentri::stream::DEFAULT_BATCH_SIZE;
 //!
@@ -124,37 +128,29 @@
 //!     .unwrap();
 //!
 //! let estimator = MainEstimator::new(config);
-//! let sequential = estimator.run_seeded(&stream, 7).unwrap();
+//! let plain = estimator.run_seeded(&stream, 7).unwrap();
 //!
-//! // Four shards, two shard workers, one reusable scratch arena:
+//! // Four shards on two shard workers:
 //! let view = ShardedStream::from_stream(&stream, 4);
-//! let mut scratch = EstimatorScratch::new();
 //! let sharded = estimator
-//!     .run_seeded_sharded(&view, 7, DEFAULT_BATCH_SIZE, 2, &mut scratch)
+//!     .run_seeded_sharded(&view, 7, DEFAULT_BATCH_SIZE, 2)
 //!     .unwrap();
-//! assert_eq!(sharded.estimate.to_bits(), sequential.estimate.to_bits());
+//! assert_eq!(sharded.estimate.to_bits(), plain.estimate.to_bits());
+//! assert!(sharded.sharded); // all six passes ran shard-parallel
 //! assert_eq!(view.passes(), 6); // sharding keeps the paper's pass budget
 //! ```
 //!
-//! # Quickstart: counter-based randomness (`RngMode`)
+//! # Quickstart: one randomness regime, one implementation per estimator
 //!
-//! Under the default [`RngMode::Sequential`](core::RngMode) the estimators
-//! consume one stateful PRNG stream in stream order, so only the
-//! order-insensitive passes above can shard. Switching the configuration
-//! to [`RngMode::Counter`](core::RngMode) derives every sampling decision
-//! from `hash(seed, stream position, draw index)` instead (see
-//! [`core::rng`] for the position-keyed reservoir rule) — same
-//! distributions, but now **every** pass of both estimators is a fold with
-//! an associative merge, so all six passes (and the ideal estimator's
-//! three) run shard-parallel, and pass 5 collapses its per-candidate-edge
-//! sampling into one table per distinct endpoint. The engine forces
-//! counter mode onto its jobs by default; `job_rng_mode()` makes it
-//! respect each job's own setting:
+//! The estimators have a single randomness regime (counter-based, see
+//! [`core::rng`]) and each has exactly one implementation: its stage
+//! object (`begin_pass → fold → finish_pass`). The standalone runner
+//! drives one copy per sweep, the engine's fused cohorts many copies per
+//! sweep — the same folds on the same positions, so both report the same
+//! estimates bit for bit:
 //!
 //! ```
-//! use degentri::core::{EstimatorScratch, MainEstimator, RngMode};
 //! use degentri::prelude::*;
-//! use degentri::stream::DEFAULT_BATCH_SIZE;
 //!
 //! let graph = degentri::gen::wheel(2000).unwrap();
 //! let stream = MemoryStream::from_graph(&graph, StreamOrder::UniformRandom(1));
@@ -162,42 +158,33 @@
 //!     .epsilon(0.15)
 //!     .kappa(3)
 //!     .triangle_lower_bound(999)
-//!     .rng_mode(RngMode::Counter)
+//!     .copies(4)
 //!     .seed(7)
 //!     .try_build()
 //!     .unwrap();
 //!
-//! // All six passes shard now — and still bit-identical to the plain run
-//! // at every shard/worker count.
-//! let estimator = MainEstimator::new(config.clone());
-//! let plain = estimator.run_seeded(&stream, 7).unwrap();
-//! let view = ShardedStream::from_stream(&stream, 8);
-//! let mut scratch = EstimatorScratch::new();
-//! let sharded = estimator
-//!     .run_seeded_sharded(&view, 7, DEFAULT_BATCH_SIZE, 2, &mut scratch)
-//!     .unwrap();
-//! assert_eq!(sharded.estimate.to_bits(), plain.estimate.to_bits());
-//! assert_eq!(sharded.sharded_passes, [true; 6]);
-//!
-//! // The engine runs jobs in counter mode by default and reports it:
+//! let standalone = estimate_triangles(&stream, &config).unwrap();
 //! let mut engine = Engine::new(EngineConfig::with_workers(2));
-//! engine.submit(JobSpec::main("counter", config));
+//! engine.submit(JobSpec::main("wheel", config));
 //! let report = engine.run(&stream).unwrap();
-//! assert_eq!(report.stats.rng_mode, Some(RngMode::Counter));
+//! assert_eq!(
+//!     report.jobs[0].estimation().copy_estimates,
+//!     standalone.copy_estimates,
+//! );
+//! assert_eq!(report.stats.fused_cohorts, 1);
 //! ```
 //!
 //! # Quickstart: turnstile streams through the engine
 //!
 //! Insert/delete workloads run through the same engine: a
 //! [`DynamicMemoryStream`] snapshot is shared across every submitted
-//! `JobSpec::dynamic` job (no re-snapshotting between jobs), the engine
-//! forces counter-mode randomness onto the turnstile estimator — its
-//! sketch folds are linear, so spare workers shard each copy's passes
-//! over a [`ShardedDynamicStream`] view — and results are bit-identical
-//! to the standalone `degentri::dynamic` estimator at any worker count:
+//! `JobSpec::dynamic` job (no re-snapshotting between jobs). The
+//! turnstile estimator's sketch folds are linear, so spare workers shard
+//! each copy's passes over a [`ShardedDynamicStream`] view, and results
+//! are bit-identical to the standalone `degentri::dynamic` estimator at
+//! any worker count:
 //!
 //! ```
-//! use degentri::core::RngMode;
 //! use degentri::dynamic::{DynamicEstimatorConfig, DynamicTriangleEstimator};
 //! use degentri::prelude::*;
 //!
@@ -211,12 +198,10 @@
 //!     .with_seed(11)
 //!     .with_max_samples(150);
 //!
-//! // Standalone reference in counter mode (the regime the engine forces):
-//! let standalone = DynamicTriangleEstimator::new(
-//!     config.clone().with_rng_mode(RngMode::Counter),
-//! )
-//! .run(&stream)
-//! .unwrap();
+//! // Standalone reference:
+//! let standalone = DynamicTriangleEstimator::new(config.clone())
+//!     .run(&stream)
+//!     .unwrap();
 //!
 //! // The same job through the engine's shared dynamic-snapshot path:
 //! let mut engine = Engine::new(EngineConfig::with_workers(4));
@@ -232,7 +217,7 @@
 //!
 //! # Quickstart: fused sweep execution
 //!
-//! The engine runs counter-mode jobs **fused** by default: every copy of
+//! The engine runs estimator jobs **fused** by default: every copy of
 //! every compatible job exposes its passes as resumable stage objects
 //! (`begin_pass → fold → finish_pass`), and the scheduler executes each
 //! pass stage as **one** sweep over the snapshot that feeds every copy's
