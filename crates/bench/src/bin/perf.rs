@@ -3,13 +3,19 @@
 //!
 //! Runs the six-pass estimator over a preferential-attachment snapshot —
 //! a standalone single copy plus, at four copies, the engine's **fused**
-//! sweep execution (one sweep per pass stage feeding
-//! every copy, with cohort-level union probes) against the **per-copy**
-//! path (`EngineConfig::fused_execution(false)`), best-of-3 each. A
-//! matching turnstile section measures the dynamic estimator standalone
-//! and through `Engine::run_dynamic`, fused vs per-copy, at four copies.
-//! Counter-mode parity sweeps (shards 1..=8 × workers {1, 2, 4}) and
-//! fused-vs-per-copy bit-identity are asserted on every run.
+//! sweep execution (one sweep per pass stage feeding every copy, with
+//! cohort-level union probes) against the **copy-parallel standalone
+//! reference** at the same worker count
+//! (`degentri_engine::parallel_estimate_triangles_with`: one standalone
+//! copy per pool task, each streaming the snapshot once per pass),
+//! raced in interleaved rounds. A matching turnstile section measures the
+//! dynamic estimator standalone, through `Engine::run_dynamic`, and as
+//! its copy-parallel reference (`run_indexed_pool` over
+//! `run_dynamic_copy_with`, then `aggregate_dynamic_copies`), at four
+//! copies. Counter-mode parity sweeps (shards 1..=8 × workers {1, 2, 4})
+//! and fused-vs-reference bit-identity are asserted on every run. The
+//! JSON keeps its earlier key names: `engine_per_copy` and the mixed
+//! batch's `unfused` cell are the reference side.
 //!
 //! The PR 6 **observability** section carries forward: the same fused
 //! engine run with `EngineConfig::recording` on vs off (best-of-3 each),
@@ -38,14 +44,17 @@
 //! and the fused path's ratio against the previous baseline's fused cell;
 //! in the default (faults-disabled) build that ratio is gated at ≥ 0.99×.
 //!
-//! A **fusion matrix** section: fused execution covers every estimator
-//! job kind, so three cells are measured: the ideal (3-pass oracle)
-//! estimator fused vs per-copy at scale, the dynamic cohort — whose
-//! shared probe passes walk one k-way-merged **union key table** —
-//! against the previous baseline's fused-dynamic cell, and a mixed
-//! main+ideal+dynamic batch on one snapshot whose measured sweep count
-//! must land strictly below the unfused sum. Kernel attribution gains
-//! the ideal passes via a recorded three-pass cohort run.
+//! A **fusion matrix** section: every estimator job kind runs as its own
+//! cohort, so three cells are measured: the ideal (3-pass oracle)
+//! estimator fused vs its copy-parallel reference at scale
+//! (`parallel_estimate_triangles_with_oracle_and`, with
+//! `StreamStats::compute` inside the timed region as in the engine), the
+//! dynamic cohort — whose shared probe passes walk one k-way-merged
+//! **union key table** — against the previous baseline's fused-dynamic
+//! cell, and a mixed main+ideal+dynamic batch on one snapshot whose
+//! measured sweep count (6 + 3 + 4 + 1 = 14 at four copies) must land
+//! strictly below the per-copy sum (53). Kernel attribution gains the
+//! ideal passes via a recorded three-pass cohort run.
 //!
 //! New in PR 10: a **recovery** section. Jobs can now carry a
 //! [`RetryPolicy`] and a [`QuorumPolicy`] (deterministic copy-level
@@ -63,21 +72,21 @@
 //! (set by the CI bench-smoke job) the process exits non-zero when
 //!
 //! * single-copy throughput regresses more than 25% below the baseline,
-//! * the fused multi-copy path drops below 0.9× the per-copy path
-//!   (best-of-3 on both sides; the 10% band absorbs scheduler noise on
-//!   shared CI hardware),
+//! * the fused multi-copy path drops below 0.9× its copy-parallel
+//!   reference (best-of on both sides; the 10% band absorbs scheduler
+//!   noise on shared CI hardware),
 //! * the fused dynamic engine path falls below 0.9× the standalone
 //!   dynamic run (re-raced before failing),
 //! * a lane-batched kernel falls below 1.0× its scalar reference
 //!   (best-of-3 on both sides — the batched path must never lose), or
 //! * the faults-disabled fused path falls below 0.99× the previous
 //!   baseline's fused cell (containment plumbing must cost ≤ 1%), or
-//! * the fused ideal path falls below 0.9× its per-copy path at scale
-//!   (best-of re-raced before failing), or
+//! * the fused ideal path falls below 0.9× its copy-parallel reference at
+//!   scale (best-of re-raced before failing), or
 //! * the union-probe dynamic fused path falls below the previous
 //!   baseline's fused-dynamic cell (re-raced before failing), or
 //! * the mixed-kind batch's measured sweep count is not strictly below
-//!   the unfused sum, or
+//!   the per-copy sum, or
 //! * the retry-configured-but-clean fused cell falls below 0.95× the
 //!   retries-disabled default (idle recovery policies must be pure
 //!   metadata; bit-identity is asserted unconditionally at measurement
@@ -102,14 +111,17 @@ use degentri_core::{
     main_copy_seed, EstimatorConfig, MainCohortScratch, MainCopyStages, MainEstimator, MainStageAcc,
 };
 use degentri_dynamic::{
-    dynamic_copy_seed, DynamicCopyStages, DynamicEstimatorConfig, DynamicOutcome,
-    DynamicTriangleEstimator,
+    aggregate_dynamic_copies, dynamic_copy_seed, run_dynamic_copy_with, DynamicCopyStages,
+    DynamicEstimatorConfig, DynamicOutcome, DynamicTriangleEstimator,
 };
-use degentri_engine::{Engine, EngineConfig, EngineReport, JobSpec, QuorumPolicy, RetryPolicy};
+use degentri_engine::{
+    parallel_estimate_triangles_with, parallel_estimate_triangles_with_oracle_and, Engine,
+    EngineConfig, EngineReport, EngineStats, JobSpec, QuorumPolicy, RetryPolicy,
+};
 use degentri_graph::triangles::count_triangles;
 use degentri_stream::{
-    DynamicEdgeStream, DynamicMemoryStream, EdgeStream, MemoryStream, ShardedDynamicStream,
-    ShardedStream, StreamOrder, DEFAULT_BATCH_SIZE,
+    run_indexed_pool, DynamicEdgeStream, DynamicMemoryStream, EdgeStream, MemoryStream,
+    ShardedDynamicStream, ShardedStream, StreamOrder, StreamStats, DEFAULT_BATCH_SIZE,
 };
 
 struct CountingAllocator;
@@ -151,6 +163,43 @@ const PASS_NAMES: [&str; 6] = [
     "p5_assignment_gather",
     "p6_assignment_closure",
 ];
+
+/// One side of an engine race: every job's copy estimates (the two sides
+/// must agree bit for bit), the physical sweeps the side cost, and the
+/// engine's statistics when the side was the engine.
+struct Side {
+    copy_estimates: Vec<Vec<f64>>,
+    sweeps: u64,
+    stats: Option<EngineStats>,
+}
+
+impl Side {
+    fn engine(report: &EngineReport) -> Self {
+        Side {
+            copy_estimates: report
+                .jobs
+                .iter()
+                .map(|job| job.estimation().copy_estimates.clone())
+                .collect(),
+            sweeps: report.stats.sweeps_executed,
+            stats: Some(report.stats),
+        }
+    }
+
+    /// A copy-parallel standalone reference: every copy streams the
+    /// snapshot once per pass, `sweeps` in total.
+    fn reference(copy_estimates: Vec<Vec<f64>>, sweeps: u64) -> Self {
+        Side {
+            copy_estimates,
+            sweeps,
+            stats: None,
+        }
+    }
+
+    fn fused_cohorts(&self) -> usize {
+        self.stats.map_or(0, |stats| stats.fused_cohorts)
+    }
+}
 
 /// One engine measurement: best-of-3 wall seconds plus the first report.
 struct EngineCell {
@@ -298,26 +347,47 @@ fn main() {
 
     let copy_edges = 6_u64 * m as u64;
     let logical_edges = (copies as u64) * copy_edges;
-    let run_engine_once = |fused: bool, config: &EstimatorConfig| {
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(workers)
-                .batch_size(batch)
-                .fused_execution(fused)
-                .try_build()
-                .expect("engine configuration is valid"),
-        );
-        engine.submit(JobSpec::main("six-pass", config.clone()));
-        let started = Instant::now();
-        let report = engine.run(&stream).expect("engine run succeeds");
-        (report, started.elapsed().as_secs_f64())
+    let engine_config = EngineConfig::builder()
+        .workers(workers)
+        .batch_size(batch)
+        .try_build()
+        .expect("engine configuration is valid");
+    // One side of a six-pass race: the fused engine (`engine = true`) or
+    // the copy-parallel standalone reference at the same worker count.
+    let run_main_once = |engine: bool, stream: &MemoryStream, config: &EstimatorConfig| {
+        if engine {
+            let mut engine = Engine::new(engine_config);
+            engine.submit(JobSpec::main("six-pass", config.clone()));
+            let started = Instant::now();
+            let report = engine.run(stream).expect("engine run succeeds");
+            (Side::engine(&report), started.elapsed().as_secs_f64())
+        } else {
+            let started = Instant::now();
+            let out = parallel_estimate_triangles_with(stream, config, &engine_config)
+                .expect("reference run succeeds");
+            let wall = started.elapsed().as_secs_f64();
+            (
+                Side::reference(vec![out.copy_estimates], 6 * config.copies as u64),
+                wall,
+            )
+        }
     };
-    let engine_cell = move |report: &EngineReport, wall: f64| EngineCell {
+    // Races the fused engine against the reference and asserts the two
+    // sides agree bit for bit.
+    let race_engine = |reps: usize, run: &dyn Fn(bool) -> (Side, f64), what: &str| {
+        let (fused, reference) = race_pair(reps, run);
+        assert_eq!(
+            fused.0.copy_estimates, reference.0.copy_estimates,
+            "fused {what} execution must be bit-identical to the standalone reference"
+        );
+        (fused, reference)
+    };
+    let engine_cell = move |side: &Side, wall: f64| EngineCell {
         wall_seconds: wall,
         logical_items_per_second: logical_edges as f64 / wall.max(1e-12),
-        snapshot_items_per_second: report.stats.edges_streamed as f64 / wall.max(1e-12),
-        sweeps: report.stats.sweeps_executed,
-        fused_cohorts: report.stats.fused_cohorts,
+        snapshot_items_per_second: (side.sweeps * m as u64) as f64 / wall.max(1e-12),
+        sweeps: side.sweeps,
+        fused_cohorts: side.fused_cohorts(),
     };
     let counter_mode = {
         let label = "counter_rng";
@@ -339,10 +409,14 @@ fn main() {
             "a repeat run must not change results ({label})"
         );
 
-        // Engine: fused vs per-copy execution of the same four-copy job,
-        // raced in interleaved rounds so drift hits both sides equally.
-        let ((fused_report, fused_wall), (pc_report, pc_wall)) =
-            race_pair(12, |fused| run_engine_once(fused, &config));
+        // Engine: the fused four-copy job vs its copy-parallel standalone
+        // reference, raced in interleaved rounds so drift hits both sides
+        // equally.
+        let ((fused_side, fused_wall), (ref_side, ref_wall)) = race_engine(
+            12,
+            &|engine| run_main_once(engine, &stream, &config),
+            "main",
+        );
 
         ModeReport {
             label,
@@ -351,14 +425,14 @@ fn main() {
             outcome: warm_outcome,
             cold_allocs,
             warm_allocs,
-            engine_fused: engine_cell(&fused_report, fused_wall),
-            engine_per_copy: engine_cell(&pc_report, pc_wall),
+            engine_fused: engine_cell(&fused_side, fused_wall),
+            engine_per_copy: engine_cell(&ref_side, ref_wall),
         }
     };
 
-    // ---- Fused-vs-per-copy at scale. The PR-4 chain graph (above) is
+    // ---- Fused-vs-reference at scale. The base graph (above) is
     // cache-resident — per-copy re-streaming costs almost nothing there, so
-    // the fused-vs-per-copy ratio on it mostly measures scheduler noise.
+    // the fused-vs-reference ratio on it mostly measures scheduler noise.
     // The structural comparison (and its regression gate) runs on a 4x
     // larger snapshot, where traversal and probe working sets leave cache
     // and sweep sharing pays. ------------------------------------------
@@ -378,77 +452,65 @@ fn main() {
         .seed(seed)
         .try_build()
         .expect("bench configuration is valid");
-    let scale_logical = (copies * 6 * scale_m) as u64;
-    let run_scale_engine_once = |fused: bool| {
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(workers)
-                .batch_size(batch)
-                .fused_execution(fused)
-                .try_build()
-                .expect("engine configuration is valid"),
-        );
-        engine.submit(JobSpec::main("six-pass", scale_config.clone()));
-        let started = Instant::now();
-        let report = engine.run(&scale_stream).expect("engine run succeeds");
-        (report, started.elapsed().as_secs_f64())
-    };
-    let scale_cell = |report: &EngineReport, wall: f64| EngineCell {
+    let scale_logical = copies * 6 * scale_m;
+    let scale_cell = |side: &Side, wall: f64, logical: usize| EngineCell {
         wall_seconds: wall,
-        logical_items_per_second: scale_logical as f64 / wall.max(1e-12),
-        snapshot_items_per_second: report.stats.edges_streamed as f64 / wall.max(1e-12),
-        sweeps: report.stats.sweeps_executed,
-        fused_cohorts: report.stats.fused_cohorts,
+        logical_items_per_second: logical as f64 / wall.max(1e-12),
+        snapshot_items_per_second: (side.sweeps * scale_m as u64) as f64 / wall.max(1e-12),
+        sweeps: side.sweeps,
+        fused_cohorts: side.fused_cohorts(),
     };
-    let ((scale_fused_report, scale_fused_wall), (scale_pc_report, scale_pc_wall)) =
-        race_pair(8, run_scale_engine_once);
-    let scale_fused = scale_cell(&scale_fused_report, scale_fused_wall);
-    let scale_per_copy = scale_cell(&scale_pc_report, scale_pc_wall);
+    let ((scale_fused_side, scale_fused_wall), (scale_ref_side, scale_ref_wall)) = race_engine(
+        8,
+        &|engine| run_main_once(engine, &scale_stream, &scale_config),
+        "main at scale",
+    );
+    let scale_fused = scale_cell(&scale_fused_side, scale_fused_wall, scale_logical);
+    let scale_per_copy = scale_cell(&scale_ref_side, scale_ref_wall, scale_logical);
     eprintln!(
-        "perf: at-scale (n = {scale_n}, m = {scale_m}) fused {:.0} items/s vs per-copy {:.0} items/s ({:.2}x)",
+        "perf: at-scale (n = {scale_n}, m = {scale_m}) fused {:.0} items/s vs reference {:.0} items/s ({:.2}x)",
         scale_fused.logical_items_per_second,
         scale_per_copy.logical_items_per_second,
         scale_fused.logical_items_per_second / scale_per_copy.logical_items_per_second.max(1e-12)
     );
 
-    // ---- Ideal fused-vs-per-copy at scale (new in PR 9). Ideal copies
-    // now join fused cohorts through the 3-pass stage object and retire
-    // after pass 3; the per-copy path re-streams the snapshot once per
-    // copy per pass. Same out-of-cache snapshot as the main comparison,
-    // same 0.9x gate (re-raced below it before failing). --------------
-    let ideal_scale_logical = (copies * 3 * scale_m) as u64;
-    let run_scale_ideal_once = |fused: bool| {
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(workers)
-                .batch_size(batch)
-                .fused_execution(fused)
-                .try_build()
-                .expect("engine configuration is valid"),
-        );
-        engine.submit(JobSpec::ideal("three-pass", scale_config.clone()));
-        let started = Instant::now();
-        let report = engine.run(&scale_stream).expect("engine run succeeds");
-        (report, started.elapsed().as_secs_f64())
+    // ---- Ideal fused-vs-reference at scale. Ideal copies
+    // form their own cohort of 3-pass stage objects; the copy-parallel
+    // reference re-streams the snapshot once per copy per pass and builds
+    // its own degree table inside the timed region, as the engine does.
+    // Same out-of-cache snapshot as the main comparison, same 0.9x gate
+    // (re-raced below it before failing). ------------------------------
+    let ideal_scale_logical = copies * 3 * scale_m;
+    let run_scale_ideal_once = |engine: bool| {
+        if engine {
+            let mut engine = Engine::new(engine_config);
+            engine.submit(JobSpec::ideal("three-pass", scale_config.clone()));
+            let started = Instant::now();
+            let report = engine.run(&scale_stream).expect("engine run succeeds");
+            (Side::engine(&report), started.elapsed().as_secs_f64())
+        } else {
+            let started = Instant::now();
+            let stats = StreamStats::compute(&scale_stream);
+            let out = parallel_estimate_triangles_with_oracle_and(
+                &scale_stream,
+                &stats,
+                &scale_config,
+                &engine_config,
+            )
+            .expect("reference run succeeds");
+            let wall = started.elapsed().as_secs_f64();
+            (
+                Side::reference(vec![out.copy_estimates], 3 * copies as u64 + 1),
+                wall,
+            )
+        }
     };
-    let ideal_scale_cell = |report: &EngineReport, wall: f64| EngineCell {
-        wall_seconds: wall,
-        logical_items_per_second: ideal_scale_logical as f64 / wall.max(1e-12),
-        snapshot_items_per_second: report.stats.edges_streamed as f64 / wall.max(1e-12),
-        sweeps: report.stats.sweeps_executed,
-        fused_cohorts: report.stats.fused_cohorts,
-    };
-    let ((ideal_sf_report, ideal_sf_wall), (ideal_sp_report, ideal_sp_wall)) =
-        race_pair(8, run_scale_ideal_once);
-    let mut ideal_scale_fused = ideal_scale_cell(&ideal_sf_report, ideal_sf_wall);
-    let mut ideal_scale_per_copy = ideal_scale_cell(&ideal_sp_report, ideal_sp_wall);
-    assert_eq!(
-        ideal_sf_report.jobs[0].estimation().copy_estimates,
-        ideal_sp_report.jobs[0].estimation().copy_estimates,
-        "fused ideal execution must be bit-identical to per-copy scheduling"
-    );
-    // 3 shared cohort passes + 1 oracle stats sweep; the per-copy path
-    // pays 3 passes per copy on top of the stats sweep.
+    let ((ideal_sf_side, ideal_sf_wall), (ideal_sp_side, ideal_sp_wall)) =
+        race_engine(8, &run_scale_ideal_once, "ideal");
+    let mut ideal_scale_fused = scale_cell(&ideal_sf_side, ideal_sf_wall, ideal_scale_logical);
+    let mut ideal_scale_per_copy = scale_cell(&ideal_sp_side, ideal_sp_wall, ideal_scale_logical);
+    // 3 shared cohort passes + 1 oracle stats sweep; the reference pays
+    // 3 passes per copy on top of the stats sweep.
     assert_eq!(ideal_scale_fused.sweeps, 3 + 1);
     assert_eq!(ideal_scale_fused.fused_cohorts, 1);
     assert!(ideal_scale_per_copy.sweeps > ideal_scale_fused.sweeps);
@@ -458,9 +520,9 @@ fn main() {
         if ideal_scale_ratio >= 0.9 {
             break;
         }
-        let ((fr, fw), (pr, pw)) = race_pair(8, run_scale_ideal_once);
-        let f = ideal_scale_cell(&fr, fw);
-        let p = ideal_scale_cell(&pr, pw);
+        let ((fr, fw), (pr, pw)) = race_engine(8, &run_scale_ideal_once, "ideal");
+        let f = scale_cell(&fr, fw, ideal_scale_logical);
+        let p = scale_cell(&pr, pw, ideal_scale_logical);
         let retry = f.logical_items_per_second / p.logical_items_per_second.max(1e-12);
         eprintln!("perf: ideal at-scale retry — ratio {retry:.3} (was {ideal_scale_ratio:.3})");
         if retry > ideal_scale_ratio {
@@ -470,36 +532,23 @@ fn main() {
         }
     }
     eprintln!(
-        "perf: ideal at-scale fused {:.0} items/s vs per-copy {:.0} items/s ({ideal_scale_ratio:.2}x)",
+        "perf: ideal at-scale fused {:.0} items/s vs reference {:.0} items/s ({ideal_scale_ratio:.2}x)",
         ideal_scale_fused.logical_items_per_second,
         ideal_scale_per_copy.logical_items_per_second
     );
 
-    // Fused-vs-per-copy bit-identity at the bench configuration.
+    // Fused-vs-reference bit-identity at the bench configuration.
     {
         let config = config_for();
-        let run = |fused: bool| {
-            let mut engine = Engine::new(
-                EngineConfig::builder()
-                    .workers(workers)
-                    .batch_size(batch)
-                    .fused_execution(fused)
-                    .try_build()
-                    .expect("engine configuration is valid"),
-            );
-            engine.submit(JobSpec::main("parity", config.clone()));
-            engine.run(&stream).expect("engine run succeeds")
-        };
-        let fused = run(true);
-        let per_copy = run(false);
+        let (fused, _) = run_main_once(true, &stream, &config);
+        let (reference, _) = run_main_once(false, &stream, &config);
         assert_eq!(
-            fused.jobs[0].estimation().copy_estimates,
-            per_copy.jobs[0].estimation().copy_estimates,
-            "fused execution must be bit-identical to per-copy scheduling"
+            fused.copy_estimates, reference.copy_estimates,
+            "fused execution must be bit-identical to the standalone reference"
         );
-        assert_eq!(fused.stats.fused_cohorts, 1);
-        assert_eq!(fused.stats.sweeps_executed, 6);
-        assert_eq!(per_copy.stats.sweeps_executed, (6 * copies) as u64);
+        assert_eq!(fused.fused_cohorts(), 1);
+        assert_eq!(fused.sweeps, 6);
+        assert_eq!(reference.sweeps, (6 * copies) as u64);
     }
 
     // ---- Counter-mode parity sweep: shards 1..=8 × workers {1, 2, 4}. ----
@@ -527,8 +576,8 @@ fn main() {
         }
     }
 
-    // ---- Dynamic (turnstile) estimator: standalone vs the engine's
-    // fused/per-copy paths, at four copies. ----------------------------
+    // ---- Dynamic (turnstile) estimator: standalone vs the fused engine
+    // vs the copy-parallel standalone reference, at four copies. -------
     let dyn_n = 1_200 * scale;
     let dyn_graph = degentri_gen::barabasi_albert(dyn_n, 6, 2).expect("valid BA parameters");
     let dyn_exact = count_triangles(&dyn_graph);
@@ -577,48 +626,60 @@ fn main() {
             },
         )
     };
-    let run_dyn_engine_once = |fused: bool| {
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(workers)
-                .batch_size(batch)
-                .fused_execution(fused)
-                .try_build()
-                .expect("engine configuration is valid"),
-        );
-        engine.submit(JobSpec::dynamic("turnstile", dyn_config_for()));
-        let started = Instant::now();
-        let report = engine
-            .run_dynamic(&dyn_stream)
-            .expect("engine dynamic run succeeds");
-        (report, started.elapsed().as_secs_f64())
+    // The copy-parallel turnstile reference: every copy on the pool,
+    // aggregated by the standalone median.
+    let dyn_reference = |config: &DynamicEstimatorConfig| -> DynamicOutcome {
+        let copies: Vec<_> = run_indexed_pool(workers, config.copies, |copy| {
+            run_dynamic_copy_with(&dyn_stream, config, copy, batch)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("reference dynamic run succeeds");
+        aggregate_dynamic_copies(&copies)
     };
-    let dyn_cell = |report: &EngineReport, wall: f64| DynCell {
+    let run_dyn_engine_once = |engine: bool| {
+        let config = dyn_config_for();
+        if engine {
+            let mut engine = Engine::new(engine_config);
+            engine.submit(JobSpec::dynamic("turnstile", config));
+            let started = Instant::now();
+            let report = engine
+                .run_dynamic(&dyn_stream)
+                .expect("engine dynamic run succeeds");
+            (Side::engine(&report), started.elapsed().as_secs_f64())
+        } else {
+            let started = Instant::now();
+            let out = dyn_reference(&config);
+            let wall = started.elapsed().as_secs_f64();
+            (
+                Side::reference(vec![out.copy_estimates], 4 * config.copies as u64),
+                wall,
+            )
+        }
+    };
+    let dyn_cell = |side: &Side, wall: f64| DynCell {
         wall_seconds: wall,
         updates_per_second: dyn_items_streamed as f64 / wall.max(1e-12),
-        sweeps: report.stats.sweeps_executed,
+        sweeps: side.sweeps,
     };
     let (dyn_ctr_outcome, dyn_ctr_cell) = run_dyn_standalone();
-    let ((dyn_fused_report, dyn_fused_wall), (dyn_per_copy_report, dyn_per_copy_wall)) =
-        race_pair(5, run_dyn_engine_once);
-    let dyn_fused_cell = dyn_cell(&dyn_fused_report, dyn_fused_wall);
-    let dyn_per_copy_cell = dyn_cell(&dyn_per_copy_report, dyn_per_copy_wall);
+    let ((dyn_fused_side, dyn_fused_wall), (dyn_ref_side, dyn_ref_wall)) =
+        race_engine(5, &run_dyn_engine_once, "dynamic");
+    let dyn_fused_cell = dyn_cell(&dyn_fused_side, dyn_fused_wall);
+    let dyn_per_copy_cell = dyn_cell(&dyn_ref_side, dyn_ref_wall);
     assert_eq!(
-        dyn_fused_report.jobs[0].estimation().copy_estimates,
-        dyn_ctr_outcome.copy_estimates,
+        dyn_fused_side.copy_estimates,
+        vec![dyn_ctr_outcome.copy_estimates.clone()],
         "fused dynamic path must be bit-identical to the standalone counter run"
     );
     assert_eq!(
-        dyn_per_copy_report.jobs[0].estimation().copy_estimates,
-        dyn_ctr_outcome.copy_estimates,
-        "per-copy dynamic path must be bit-identical to the standalone counter run"
+        dyn_ref_side.copy_estimates,
+        vec![dyn_ctr_outcome.copy_estimates.clone()],
+        "copy-parallel dynamic reference must be bit-identical to the standalone counter run"
     );
-    assert_eq!(dyn_fused_report.stats.fused_cohorts, 1);
-    assert_eq!(dyn_fused_report.stats.sweeps_executed, 4);
-    assert_eq!(
-        dyn_per_copy_report.stats.sweeps_executed,
-        (4 * dyn_copies) as u64
-    );
+    assert_eq!(dyn_fused_side.fused_cohorts(), 1);
+    assert_eq!(dyn_fused_side.sweeps, 4);
+    assert_eq!(dyn_ref_side.sweeps, (4 * dyn_copies) as u64);
 
     // Counter-mode parity sweep: shards 1..=8 × workers {1, 2, 4} must be
     // bit-identical to the plain counter run.
@@ -640,52 +701,74 @@ fn main() {
 
     // ---- Mixed fusion-matrix batch: one engine run carrying all three
     // matrix cells — main, ideal, and dynamic — over the base snapshot,
-    // against the same batch with fusion disabled. Sweep sharing is
-    // measured from the reports, never assumed: the gate below only
-    // requires the fused batch's physical sweep count to land strictly
-    // under the unfused sum. ---------------------------------------------
-    let run_mixed_once = |fused: bool| {
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(workers)
-                .batch_size(batch)
-                .fused_execution(fused)
-                .try_build()
-                .expect("engine configuration is valid"),
-        );
-        engine.submit(JobSpec::main("six-pass", config_for()));
-        engine.submit(JobSpec::ideal("three-pass", config_for()));
-        engine.submit(JobSpec::dynamic("turnstile", dyn_config_for()));
-        let started = Instant::now();
-        let report = engine.run(&stream).expect("engine run succeeds");
-        (report, started.elapsed().as_secs_f64())
+    // against the three copy-parallel standalone references run back to
+    // back. Sweep sharing is measured from the report, never assumed: the
+    // gate below only requires the fused batch's physical sweep count to
+    // land strictly under the per-copy sum. -------------------------------
+    let mixed_inserts = DynamicMemoryStream::from_updates(
+        EdgeStream::num_vertices(&stream),
+        stream
+            .edges()
+            .iter()
+            .map(|&edge| degentri_stream::EdgeUpdate::insert(edge))
+            .collect(),
+    );
+    let run_mixed_once = |engine: bool| {
+        if engine {
+            let mut engine = Engine::new(engine_config);
+            engine.submit(JobSpec::main("six-pass", config_for()));
+            engine.submit(JobSpec::ideal("three-pass", config_for()));
+            engine.submit(JobSpec::dynamic("turnstile", dyn_config_for()));
+            let started = Instant::now();
+            let report = engine.run(&stream).expect("engine run succeeds");
+            (Side::engine(&report), started.elapsed().as_secs_f64())
+        } else {
+            let (config, dyn_config) = (config_for(), dyn_config_for());
+            let started = Instant::now();
+            let main = parallel_estimate_triangles_with(&stream, &config, &engine_config)
+                .expect("reference run succeeds");
+            let stats = StreamStats::compute(&stream);
+            let ideal = parallel_estimate_triangles_with_oracle_and(
+                &stream,
+                &stats,
+                &config,
+                &engine_config,
+            )
+            .expect("reference run succeeds");
+            let dynamic: Vec<_> = run_indexed_pool(workers, dyn_config.copies, |copy| {
+                run_dynamic_copy_with(&mixed_inserts, &dyn_config, copy, batch)
+            })
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .expect("reference dynamic run succeeds");
+            let dynamic = aggregate_dynamic_copies(&dynamic);
+            let wall = started.elapsed().as_secs_f64();
+            // Per-copy sum: 6 passes per main copy, 3 per ideal copy plus
+            // the stats pass, 4 per turnstile copy.
+            let sweeps = (6 * copies + 3 * copies + 1 + 4 * dyn_config.copies) as u64;
+            let estimates = vec![
+                main.copy_estimates,
+                ideal.copy_estimates,
+                dynamic.copy_estimates,
+            ];
+            (Side::reference(estimates, sweeps), wall)
+        }
     };
-    let ((mixed_fused_report, mixed_fused_wall), (mixed_unfused_report, mixed_unfused_wall)) =
-        race_pair(3, run_mixed_once);
-    for (f, u) in mixed_fused_report
-        .jobs
-        .iter()
-        .zip(mixed_unfused_report.jobs.iter())
-    {
-        assert_eq!(
-            f.estimation().copy_estimates,
-            u.estimation().copy_estimates,
-            "mixed-batch job '{}' must be bit-identical fused vs unfused",
-            f.label
-        );
-    }
-    let mixed_fused_sweeps = mixed_fused_report.stats.sweeps_executed;
-    let mixed_unfused_sweeps = mixed_unfused_report.stats.sweeps_executed;
+    let ((mixed_fused, mixed_fused_wall), (mixed_unfused, mixed_unfused_wall)) =
+        race_engine(3, &run_mixed_once, "mixed-batch");
+    let mixed_stats = mixed_fused.stats.expect("the fused side is the engine");
+    let mixed_fused_sweeps = mixed_fused.sweeps;
+    let mixed_unfused_sweeps = mixed_unfused.sweeps;
     assert_eq!(
-        mixed_fused_report.stats.fused_sweeps + mixed_fused_report.stats.per_copy_sweeps,
+        mixed_stats.fused_sweeps + mixed_stats.per_copy_sweeps,
         mixed_fused_sweeps,
         "tier accounting must partition the mixed batch's sweeps"
     );
     eprintln!(
         "perf: mixed batch (main+ideal+dynamic) fused {mixed_fused_sweeps} sweeps \
-         ({} fused / {} per-copy tier) in {mixed_fused_wall:.4}s vs unfused \
+         ({} cohort / {} other) in {mixed_fused_wall:.4}s vs per-copy \
          {mixed_unfused_sweeps} sweeps in {mixed_unfused_wall:.4}s",
-        mixed_fused_report.stats.fused_sweeps, mixed_fused_report.stats.per_copy_sweeps
+        mixed_stats.fused_sweeps, mixed_stats.per_copy_sweeps
     );
 
     // ---- Observability: recording overhead + RunReport artifacts. --------
@@ -1080,8 +1163,12 @@ fn main() {
                 if best_ratio >= 0.99 {
                     break;
                 }
-                let ((report, wall), _) = race_pair(12, |fused| run_engine_once(fused, &config));
-                let retry = engine_cell(&report, wall).logical_items_per_second / old.max(1e-12);
+                let ((side, wall), _) = race_engine(
+                    12,
+                    &|engine| run_main_once(engine, &stream, &config),
+                    "main",
+                );
+                let retry = engine_cell(&side, wall).logical_items_per_second / old.max(1e-12);
                 eprintln!("perf: fused overhead retry — ratio {retry:.3} (was {best_ratio:.3})");
                 best_ratio = best_ratio.max(retry);
             }
@@ -1101,8 +1188,8 @@ fn main() {
             if best_ratio >= 1.0 {
                 break;
             }
-            let ((report, wall), _) = race_pair(5, run_dyn_engine_once);
-            let retry = dyn_cell(&report, wall).updates_per_second / old.max(1e-12);
+            let ((side, wall), _) = race_engine(5, &run_dyn_engine_once, "dynamic");
+            let retry = dyn_cell(&side, wall).updates_per_second / old.max(1e-12);
             eprintln!("perf: dynamic union-probe retry — ratio {retry:.3} (was {best_ratio:.3})");
             best_ratio = best_ratio.max(retry);
         }
@@ -1135,13 +1222,13 @@ fn main() {
         dyn_fused_vs_standalone = dyn_fused_vs_standalone.max(retry);
     }
     eprintln!(
-        "perf: main engine fused {:.0} items/s vs per-copy {:.0} items/s ({fused_vs_per_copy_small:.2}x small / {fused_vs_per_copy_main:.2}x at scale); vs PR4 engine: {}",
+        "perf: main engine fused {:.0} items/s vs reference {:.0} items/s ({fused_vs_per_copy_small:.2}x small / {fused_vs_per_copy_main:.2}x at scale); vs baseline engine: {}",
         counter_fused.logical_items_per_second,
         counter_mode.engine_per_copy.logical_items_per_second,
         fused_vs_pr4_main.map_or("n/a".into(), |v| format!("{v:.2}x")),
     );
     eprintln!(
-        "perf: dynamic engine fused {:.0} upd/s vs per-copy {:.0} upd/s ({fused_vs_per_copy_dynamic:.2}x), vs standalone {:.0} upd/s ({dyn_fused_vs_standalone:.2}x); vs baseline engine: {}",
+        "perf: dynamic engine fused {:.0} upd/s vs reference {:.0} upd/s ({fused_vs_per_copy_dynamic:.2}x), vs standalone {:.0} upd/s ({dyn_fused_vs_standalone:.2}x); vs baseline engine: {}",
         dyn_fused_cell.updates_per_second,
         dyn_per_copy_cell.updates_per_second,
         dyn_ctr_cell.updates_per_second,
@@ -1296,7 +1383,7 @@ fn main() {
         );
         let _ = writeln!(json, "      }},");
     }
-    let _ = writeln!(json, "      \"comment\": \"structural fused-vs-per-copy comparison on an out-of-cache snapshot\"");
+    let _ = writeln!(json, "      \"comment\": \"structural fused-vs-reference comparison on an out-of-cache snapshot\"");
     let _ = writeln!(json, "    }},");
     let _ = writeln!(
         json,
@@ -1371,17 +1458,17 @@ fn main() {
     let _ = writeln!(
         json,
         "        \"fused_sweeps\": {},",
-        mixed_fused_report.stats.fused_sweeps
+        mixed_stats.fused_sweeps
     );
     let _ = writeln!(
         json,
         "        \"per_copy_sweeps\": {},",
-        mixed_fused_report.stats.per_copy_sweeps
+        mixed_stats.per_copy_sweeps
     );
     let _ = writeln!(
         json,
         "        \"fused_cohorts\": {}",
-        mixed_fused_report.stats.fused_cohorts
+        mixed_stats.fused_cohorts
     );
     let _ = writeln!(json, "      }},");
     let _ = writeln!(json, "      \"unfused\": {{");
@@ -1621,7 +1708,7 @@ fn main() {
 
     std::fs::write(&out_path, &json).expect("write bench output");
     eprintln!(
-        "perf: single-copy {:.0} edges/s, engine fused {:.0} items/s ({} sweeps), per-copy {:.0} items/s ({} sweeps), warm allocs {}",
+        "perf: single-copy {:.0} edges/s, engine fused {:.0} items/s ({} sweeps), reference {:.0} items/s ({} sweeps), warm allocs {}",
         counter_mode.edges_per_second,
         counter_fused.logical_items_per_second,
         counter_fused.sweeps,
@@ -1656,8 +1743,8 @@ fn main() {
             );
         }
     }
-    // Fused execution must not fall below the per-copy path (10% band for
-    // scheduler noise; both sides are best-of-3).
+    // Fused execution must not fall below the copy-parallel reference (10%
+    // band for scheduler noise; both sides are best-of).
     for (what, ratio) in [
         ("main", fused_vs_per_copy_main),
         ("dynamic", fused_vs_per_copy_dynamic),
@@ -1666,7 +1753,7 @@ fn main() {
         if ratio < 0.9 {
             regressed = true;
             eprintln!(
-                "perf: REGRESSION — fused {what} throughput fell below the per-copy path \
+                "perf: REGRESSION — fused {what} throughput fell below the copy-parallel reference \
                  (ratio {ratio:.3})"
             );
         }
@@ -1682,14 +1769,14 @@ fn main() {
             );
         }
     }
-    // PR-9 mixed-batch gate: one pool scheduling all four matrix cells must
+    // Mixed-batch gate: one pool scheduling all three cohorts must
     // physically share sweeps — the measured count has to land strictly
-    // below the unfused sum.
+    // below the per-copy sum.
     if mixed_fused_sweeps >= mixed_unfused_sweeps {
         regressed = true;
         eprintln!(
             "perf: REGRESSION — mixed batch executed {mixed_fused_sweeps} sweeps fused, not \
-             strictly below the unfused sum of {mixed_unfused_sweeps}"
+             strictly below the per-copy sum of {mixed_unfused_sweeps}"
         );
     }
     // A lane-batched kernel must never lose to its scalar reference

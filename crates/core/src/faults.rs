@@ -15,10 +15,10 @@
 //! shards, or cohort groupings, because the hit counters are keyed by
 //! logical identity rather than by thread or wall clock. The per-copy
 //! fault key is the copy's derived seed ([`crate::main_copy_seed`] /
-//! the dynamic equivalent), which is identical across the fused,
-//! per-copy, and sharded execution tiers — so a seeded sweep reproduces
-//! the same faults on every tier, and containment tests can assert
-//! bit-identical survivors everywhere.
+//! [`crate::ideal_copy_seed`] / the dynamic equivalent), which is the same
+//! in a fused cohort, in a retry attempt, and in a standalone sharded run
+//! — so a seeded sweep reproduces the same faults at any worker count,
+//! and containment tests can assert bit-identical survivors everywhere.
 //!
 //! ## Zero cost when disabled
 //!
@@ -41,7 +41,7 @@ pub const ENABLED: bool = cfg!(feature = "fault-inject");
 /// injection machinery itself is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// Claiming a task on the per-copy scheduler tier, before any work.
+    /// Starting a baseline task or a retry attempt, before any work.
     TaskStart,
     /// A fused-cohort pass boundary, before the sweep for that pass runs.
     PassBoundary,

@@ -298,7 +298,7 @@ impl<'o, O: DegreeOracle + Sync> IdealCopyStages<'o, O> {
     }
 
     /// The copy-derived seed, doubling as the copy's stable
-    /// fault-injection key across execution tiers.
+    /// fault-injection key in its cohort and in every retry attempt.
     pub fn fault_seed(&self) -> u64 {
         self.seed
     }

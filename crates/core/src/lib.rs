@@ -112,8 +112,8 @@ pub use oracle::{DegreeOracle, ExactDegreeOracle};
 pub use rng::{CounterRng, RngMode};
 pub use runner::{
     aggregate_copies, estimate_triangles, estimate_triangles_with_oracle, ideal_copy_seed,
-    main_copy_seed, run_ideal_copy, run_ideal_copy_sharded, run_ideal_copy_with, run_main_copy,
-    run_main_copy_sharded, run_main_copy_with, CopyContribution, TriangleEstimation,
+    main_copy_seed, run_ideal_copy, run_ideal_copy_with, run_main_copy, run_main_copy_with,
+    CopyContribution, TriangleEstimation,
 };
 pub use stages::{MainCohortPlan, MainCohortScratch, MainCopyStages, MainStageAcc};
 pub use validate::{checked_edge, validate_edges};

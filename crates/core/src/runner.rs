@@ -17,7 +17,7 @@
 //! objects across worker threads, which is why its results are
 //! bit-identical to this runner.
 
-use degentri_stream::{EdgeStream, ShardedStream, SpaceMeter, SpaceReport, DEFAULT_BATCH_SIZE};
+use degentri_stream::{EdgeStream, SpaceMeter, SpaceReport, DEFAULT_BATCH_SIZE};
 
 use crate::config::EstimatorConfig;
 use crate::estimator::{MainEstimator, MainOutcome};
@@ -71,25 +71,6 @@ pub fn run_main_copy_with<S: EdgeStream + ?Sized>(
     )
 }
 
-/// [`run_main_copy`] over a sharded snapshot view: all six passes run
-/// shard-parallel on up to `shard_workers` threads, with per-shard
-/// accumulators merged in shard order — bit-identical to
-/// [`run_main_copy`] over the same edges at any shard/worker count.
-pub fn run_main_copy_sharded(
-    sharded: &ShardedStream<'_>,
-    config: &EstimatorConfig,
-    copy: usize,
-    batch_size: usize,
-    shard_workers: usize,
-) -> Result<MainOutcome> {
-    MainEstimator::new(config.clone()).run_seeded_sharded(
-        sharded,
-        main_copy_seed(config.seed, copy),
-        batch_size,
-        shard_workers,
-    )
-}
-
 /// Runs one copy of the ideal (degree-oracle) estimator with the seed
 /// derived for `copy`.
 pub fn run_ideal_copy<S, O>(
@@ -121,26 +102,6 @@ where
     let mut copy_config = config.clone();
     copy_config.seed = ideal_copy_seed(config.seed, copy);
     IdealEstimator::new(copy_config).run_with(stream, oracle, batch_size)
-}
-
-/// [`run_ideal_copy`] over a sharded snapshot view: all three passes run
-/// shard-parallel on up to `shard_workers` threads, with per-shard
-/// accumulators merged in shard order. Bit-identical to
-/// [`run_ideal_copy`] over the same edges at any shard/worker count.
-pub fn run_ideal_copy_sharded<O>(
-    sharded: &ShardedStream<'_>,
-    oracle: &O,
-    config: &EstimatorConfig,
-    copy: usize,
-    batch_size: usize,
-    shard_workers: usize,
-) -> Result<IdealOutcome>
-where
-    O: DegreeOracle + Sync,
-{
-    let mut copy_config = config.clone();
-    copy_config.seed = ideal_copy_seed(config.seed, copy);
-    IdealEstimator::new(copy_config).run_sharded(sharded, oracle, batch_size, shard_workers)
 }
 
 /// One copy's contribution to a multi-copy aggregate: what

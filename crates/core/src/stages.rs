@@ -13,8 +13,8 @@
 //!
 //! per pass. Whoever owns the snapshot decides how the sweeps happen:
 //!
-//! * the standalone estimator and the engine's per-copy tier drive one
-//!   copy per sweep (over a plain stream or a sharded view);
+//! * the standalone estimator drives one copy per sweep (over a plain
+//!   stream or a sharded view);
 //! * the engine's **fused pass driver** executes one sweep per pass stage
 //!   and feeds every in-flight copy's fold on each chunk, collapsing
 //!   `passes × copies` snapshot traversals into `passes` — snapshot reads,

@@ -743,7 +743,7 @@ impl DynamicCopyStages {
     /// The per-copy chunk preamble of a shared union sweep: the same fault
     /// probe and item tally every copy's own [`fold`](Self::fold) would
     /// have issued for this chunk, so fault plans address copies
-    /// identically on the fused and per-copy tiers.
+    /// identically in a shared sweep and in a copy's own fold.
     fn prefold_shared(copies: &[Self], accs: &mut [DynamicStageAcc], chunk: &[EdgeUpdate]) {
         if faults::ENABLED {
             for stages in copies {

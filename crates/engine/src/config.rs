@@ -7,31 +7,21 @@ use crate::job::RetryPolicy;
 use crate::Result;
 
 /// Configuration of an [`Engine`](crate::Engine) / of the parallel copy
-/// runners: worker-pool size, batched-delivery chunk size, and whether
-/// idle workers may be used for intra-copy shard parallelism.
+/// runners: worker-pool size, batched-delivery chunk size, recording,
+/// input validation, and the default retry policy.
 ///
-/// No setting affects results, only wall-clock time: tasks carry
-/// deterministic seeds, sharded passes merge per-shard accumulators in
+/// No setting affects results, only wall-clock time: copies carry
+/// deterministic seeds, sharded sweeps merge per-shard accumulators in
 /// shard order, and batching only changes chunk boundaries — so any two
 /// configurations produce bit-identical estimations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Number of worker threads (at least 1; capped at the task count when
-    /// a run starts).
+    /// Number of worker threads (at least 1). Cohort sweeps shard across
+    /// all of them; a run without estimator copies caps the pool at its
+    /// baseline count.
     pub workers: usize,
     /// Edges delivered per chunk by the batched pass API (at least 1).
     pub batch_size: usize,
-    /// Whether a run may split individual estimator copies into sharded
-    /// passes when it has more workers than runnable tasks (see
-    /// [`Engine::run`](crate::Engine::run)). Disabling this restricts the
-    /// engine to copy-level parallelism only.
-    pub intra_task_sharding: bool,
-    /// Whether estimator jobs execute through the fused pass driver —
-    /// one sweep per pass stage feeding every in-flight copy — instead of
-    /// one set of sweeps per copy. Bit-identical either way (see
-    /// `crates/engine/src/fused.rs`); disabling is for benchmarking the
-    /// per-copy path. Defaults to `true`.
-    pub fused_execution: bool,
     /// Whether the run records metrics and assembles a
     /// [`RunReport`](degentri_obs::RunReport) on the
     /// [`EngineReport`](crate::EngineReport). Recording is observation-only
@@ -63,8 +53,6 @@ impl EngineConfig {
         EngineConfig {
             workers: available_workers(),
             batch_size: DEFAULT_BATCH_SIZE,
-            intra_task_sharding: true,
-            fused_execution: true,
             recording: false,
             validate_input: false,
             retry_policy: None,
@@ -138,19 +126,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables or disables intra-copy shard parallelism.
-    pub fn intra_task_sharding(mut self, yes: bool) -> Self {
-        self.config.intra_task_sharding = yes;
-        self
-    }
-
-    /// Enables or disables the fused pass driver (the default runs every
-    /// estimator job fused; disable to benchmark per-copy sweeps).
-    pub fn fused_execution(mut self, yes: bool) -> Self {
-        self.config.fused_execution = yes;
-        self
-    }
-
     /// Enables or disables metrics recording and
     /// [`RunReport`](degentri_obs::RunReport) assembly (off by default;
     /// observation-only either way).
@@ -207,8 +182,6 @@ mod tests {
         assert_eq!(EngineConfig::with_workers(2).effective_workers(0), 1);
         assert!(EngineConfig::default().workers >= 1);
         assert_eq!(EngineConfig::default().batch_size, DEFAULT_BATCH_SIZE);
-        assert!(EngineConfig::default().intra_task_sharding);
-        assert!(EngineConfig::default().fused_execution);
         assert!(!EngineConfig::default().recording);
         assert!(!EngineConfig::default().validate_input);
         assert!(
@@ -225,13 +198,6 @@ mod tests {
                 .unwrap()
                 .recording
         );
-        assert!(
-            !EngineConfig::builder()
-                .fused_execution(false)
-                .try_build()
-                .unwrap()
-                .fused_execution
-        );
     }
 
     #[test]
@@ -239,12 +205,10 @@ mod tests {
         let ok = EngineConfig::builder()
             .workers(3)
             .batch_size(512)
-            .intra_task_sharding(false)
             .try_build()
             .unwrap();
         assert_eq!(ok.workers, 3);
         assert_eq!(ok.batch_size, 512);
-        assert!(!ok.intra_task_sharding);
         assert!(EngineConfig::builder().batch_size(0).try_build().is_err());
         assert!(EngineConfig::builder().workers(0).try_build().is_err());
         // Retries default off; a zero-attempt policy is rejected.

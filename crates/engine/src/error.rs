@@ -30,8 +30,7 @@ pub enum EngineError {
     /// (or cohort-pass) boundary, the worker that caught it survived, and
     /// every other job ran to completion unperturbed.
     Panicked {
-        /// Index of the task (per-copy tier) or cohort member (fused tier)
-        /// that unwound.
+        /// Index of the baseline task or cohort member that unwound.
         task: usize,
         /// The panic payload rendered as text, when it was a string.
         payload: String,
@@ -39,17 +38,17 @@ pub enum EngineError {
     /// The job's [`deadline`](crate::JobSpec::deadline) elapsed before it
     /// finished; the job was cut at a pass/task boundary.
     DeadlineExceeded {
-        /// Shared passes this job's fused copies had fully completed when
-        /// the deadline fired (0 when cut on the per-copy tier before its
-        /// tasks started).
+        /// Shared passes this job's copies had fully completed when the
+        /// deadline fired (0 when a baseline task or a retry attempt was
+        /// cut before it started).
         completed_passes: usize,
     },
     /// The run's [`CancelToken`](crate::CancelToken) fired while this job
     /// was still in flight.
     Cancelled {
-        /// Shared passes this job's fused copies had fully completed when
-        /// cancellation was observed (0 when cut on the per-copy tier
-        /// before its tasks started).
+        /// Shared passes this job's copies had fully completed when
+        /// cancellation was observed (0 when a baseline task or a retry
+        /// attempt was cut before it started).
         completed_passes: usize,
     },
 }

@@ -1,20 +1,22 @@
-//! The fused pass driver: one sweep per pass stage, feeding every
-//! in-flight copy.
+//! The cohort driver: one sweep per pass stage, feeding every in-flight
+//! copy — the only way the engine runs an estimator copy.
 //!
 //! Every estimator exposes its copies as resumable stage objects
 //! ([`degentri_core::MainCopyStages`], [`degentri_core::IdealCopyStages`],
 //! [`degentri_dynamic::DynamicCopyStages`]): `begin_pass → fold(batch) →
-//! finish_pass`. Per-copy scheduling executes `passes` sweeps *per copy* —
-//! with 4+ copies per job the dominant cost is re-streaming the same
-//! snapshot slice copy after copy. This driver inverts the loop nest:
-//! each pass stage is **one** sweep over the snapshot that dispatches
-//! every copy's fold on each chunk, so snapshot traversal, chunk dispatch
-//! and memory bandwidth are paid once per cohort (a chunk is still hot in
-//! cache when the second copy folds it), collapsing `passes × copies`
-//! sweeps into `passes`.
+//! finish_pass`. Running copies one after another costs `passes` sweeps
+//! *per copy* — with 4+ copies per job the dominant cost is re-streaming
+//! the same snapshot slice copy after copy. [`drive_cohort`] inverts the
+//! loop nest: each pass stage is **one** sweep over the snapshot that
+//! dispatches every copy's fold on each chunk, so snapshot traversal,
+//! chunk dispatch and memory bandwidth are paid once per cohort (a chunk
+//! is still hot in cache when the second copy folds it), collapsing
+//! `passes × copies` sweeps into `passes`. A cohort is homogeneous — one
+//! estimator kind — and a single copy (a retry) is a one-member cohort.
 //!
-//! Results are **bit-identical** to per-copy scheduling: the driver calls
-//! the same stage methods with the same chunk positions, and every pass's
+//! Results are **bit-identical** to the standalone runners, which drive
+//! the same stage objects one copy at a time: the driver calls the same
+//! stage methods with the same chunk positions, and every pass's
 //! per-shard accumulators merge associatively in shard order — so fusing,
 //! sharding and cohort grouping change wall-clock time only (asserted
 //! across the full copies × shards × workers sweep in
@@ -127,8 +129,8 @@ pub(crate) trait StagedCopy: Send + Sync + Sized {
         chunk: &[Self::Item],
     );
 
-    /// Folds one chunk into this copy alone — the per-copy reference path
-    /// the fused fold mirrors bit for bit. The containment fallback uses
+    /// Folds one chunk into this copy alone — the standalone runners' path,
+    /// which the fused fold mirrors bit for bit. The containment fallback uses
     /// it to re-execute a panicked fused sweep copy by copy (sound and
     /// repeatable because folds take `&self` and are deterministic), and
     /// the no-shared-probes serial arm uses it directly.
@@ -244,13 +246,11 @@ impl StagedCopy for DynamicCopyStages {
     }
 }
 
-/// One ideal-estimator **job** as a cohort member: the 3-pass stage object
-/// internally fuses all of the job's copies (its accumulators hold every
-/// copy's pick cell), so a cohort of ideal members shares each snapshot
-/// sweep across jobs and each member's fold fans the chunk out to its own
-/// copies. No cross-member probe structures exist (`Plan = ()`), but the
-/// members still share the sweep — `shares_probes` stays `true` so the
-/// driver feeds them all from one traversal.
+/// One ideal-estimator copy as a cohort member: the 3-pass stage object
+/// over the run's shared degree table. No cross-member probe structures
+/// exist (`Plan = ()`), but the members still share the sweep —
+/// `shares_probes` stays `true` so the driver feeds them all from one
+/// traversal.
 impl<'o> StagedCopy for IdealCopyStages<'o, StreamStats> {
     type Item = Edge;
     type Acc = IdealStageAcc;
@@ -297,10 +297,10 @@ impl<'o> StagedCopy for IdealCopyStages<'o, StreamStats> {
     }
 }
 
-/// The sweep-execution substrate of the fused drivers: where a sharded
+/// The sweep-execution substrate of the cohort driver: where a sharded
 /// sweep's per-shard closures actually run. The engine's single work queue
 /// ([`QueueScope`]) implements it by pushing the shards to the front of
-/// the shared queue — cohort sweeps and per-copy tasks then interleave on
+/// the shared queue — cohort sweeps and baseline jobs then interleave on
 /// one worker pool instead of draining in separate phases.
 pub(crate) trait SweepPool {
     /// Runs `count` indexed shard closures to completion and returns each
@@ -322,13 +322,11 @@ impl SweepPool for QueueScope<'_, '_> {
     }
 }
 
-/// The reference substrate for exercising the [`SweepPool`] contract in
-/// isolation: every shard runs inline on the calling thread, under the
-/// same per-shard panic boundary the queued pool provides.
-#[cfg(test)]
+/// The inline substrate: every shard runs on the calling thread, under
+/// the same per-shard panic boundary the queued pool provides. The retry
+/// layer drives its one-member cohorts on the coordinator through it.
 pub(crate) struct InlineSweeps;
 
-#[cfg(test)]
 impl SweepPool for InlineSweeps {
     fn sweep_shards<T, F>(&mut self, count: usize, fold: F) -> Vec<(TaskResult<T>, u64)>
     where
@@ -373,7 +371,8 @@ pub(crate) struct CohortMemberMeta {
     /// Absolute deadline of the copy's job, when it has one.
     pub deadline: Option<Instant>,
     /// The copy's fault-injection key — its per-copy seed, so the same key
-    /// addresses the copy on every execution tier.
+    /// addresses the copy at every fault site, in its cohort and in every
+    /// retry attempt.
     pub fault_key: u64,
     /// Copy-level containment: when `true` (the member's job has a retry
     /// policy or a degradation-accepting quorum), a fault of this member
@@ -403,7 +402,7 @@ pub(crate) struct CohortOutcome {
     pub copy_failures: Vec<(usize, usize, EngineError)>,
     /// Measured thread-busy nanoseconds of the cohort's sweeps: the sum of
     /// per-shard fold times in the sharded arms, sweep wall time in the
-    /// serial arms — the fused side of the engine's per-tier attribution.
+    /// serial arms — the cohort side of the engine's busy-time split.
     pub busy_nanos: u64,
 }
 
@@ -554,10 +553,10 @@ fn finish_copy_caught<C: StagedCopy>(
 /// Executes one cohort of staged copies over a shared snapshot slice:
 /// while any copy has passes left, run **one sweep** that feeds every
 /// unfinished copy's fold chunk by chunk — sharded across `workers` scoped
-/// threads (over `shards` contiguous shards) when `workers > 1`. Cohorts
-/// without shared probes ([`StagedCopy::SHARES_PROBES`] = `false`) drive
-/// each sweep copy-at-a-time instead, keeping one copy's pass state live
-/// at a time.
+/// threads (over `shards` contiguous shards) when `workers > 1`. Unsharded
+/// passes without shared probes ([`StagedCopy::shares_probes`] = `false`)
+/// drive each sweep copy-at-a-time instead, keeping one copy's pass state
+/// live at a time.
 ///
 /// ## Failure containment
 ///
@@ -693,7 +692,7 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
             // Independent copies (no shared plan): drive them one at a
             // time — begin, fold the whole slice, finish — so only one
             // copy's pass state is live at once. Each copy's pass time
-            // includes its finish, matching the per-copy driver's clock.
+            // includes its finish, matching the standalone runners' clock.
             for (k, copy) in copies.iter_mut().enumerate() {
                 if member_doomed(&pass_failures, meta, k) {
                     continue;
@@ -746,7 +745,7 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
                     accs
                 };
                 // The shard closures run on the shared pool (interleaved
-                // with any queued per-copy tasks); panics are caught per
+                // with any queued baseline jobs); panics are caught per
                 // shard, so an unwound shard keeps the other shards' work
                 // and the engine thread alive. Any shard panic discards the
                 // sweep and drops to the per-copy fallback below, which
@@ -886,531 +885,6 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
             nanos
         };
         resolve_failures(copies, meta, &mut outcome, pass_failures);
-    }
-    outcome
-}
-
-/// The heterogeneous fused cohort of one edge-snapshot batch, grouped by
-/// execution shape:
-///
-/// * `mains` — six-pass copies sharing union probe plans;
-/// * `ideals` — 3-pass ideal-estimator **job** members (each internally
-///   fuses its own copies) that ride the first three shared sweeps, then
-///   retire from the sweep schedule.
-///
-/// Members carry [`CohortMemberMeta`] exactly like the homogeneous driver;
-/// group indices are global across both vectors, so containment evicts a
-/// failed job's copies wherever they live.
-pub(crate) struct EdgeCohort<'o> {
-    pub mains: Vec<MainCopyStages>,
-    pub main_meta: Vec<CohortMemberMeta>,
-    pub ideals: Vec<IdealCopyStages<'o, StreamStats>>,
-    pub ideal_meta: Vec<CohortMemberMeta>,
-}
-
-impl EdgeCohort<'_> {
-    /// Total cohort members across both groups.
-    pub fn len(&self) -> usize {
-        self.mains.len() + self.ideals.len()
-    }
-
-    /// Whether any group has members.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn unfinished(&self) -> bool {
-        self.mains.iter().any(|c| !StagedCopy::finished(c))
-            || self.ideals.iter().any(|c| !c.finished())
-    }
-
-    /// The pass index every unfinished member sits at (lockstep).
-    fn stage(&self) -> usize {
-        self.mains
-            .iter()
-            .map(StagedCopy::pass_index)
-            .chain(
-                self.ideals
-                    .iter()
-                    .filter(|c| !c.finished())
-                    .map(|c| c.pass_index()),
-            )
-            .next()
-            .unwrap_or(0)
-    }
-}
-
-/// Removes every copy of `group` from one (copies, meta) pair, returning
-/// how many members left. Survivor order is preserved.
-fn evict_members<C>(copies: &mut Vec<C>, meta: &mut Vec<CohortMemberMeta>, group: usize) -> usize {
-    let mut removed = 0;
-    let mut k = 0;
-    while k < copies.len() {
-        if meta[k].group == group {
-            copies.remove(k);
-            meta.remove(k);
-            removed += 1;
-        } else {
-            k += 1;
-        }
-    }
-    removed
-}
-
-/// Evicts `group` from every group vector of the mixed cohort.
-fn evict_mixed(
-    cohort: &mut EdgeCohort<'_>,
-    outcome: &mut CohortOutcome,
-    group: usize,
-    error: EngineError,
-) {
-    if !doomed(&outcome.failures, group) {
-        outcome.failures.push((group, error));
-    }
-    outcome.evicted += evict_members(&mut cohort.mains, &mut cohort.main_meta, group);
-    outcome.evicted += evict_members(&mut cohort.ideals, &mut cohort.ideal_meta, group);
-}
-
-/// One stage failure of the mixed cohort, resolved to member identity at
-/// record time — member indices are per-group-vector, so unlike the
-/// homogeneous driver the mixed driver cannot key failures by one flat
-/// index. `(group, copy)` is unique across both vectors (a copy lives in
-/// exactly one of them).
-struct MixedFailure {
-    group: usize,
-    copy: usize,
-    contained: bool,
-    error: EngineError,
-}
-
-impl MixedFailure {
-    fn of(mm: &CohortMemberMeta, error: EngineError) -> Self {
-        MixedFailure {
-            group: mm.group,
-            copy: mm.copy,
-            contained: mm.contained,
-            error,
-        }
-    }
-}
-
-/// Whether the member described by `mm` should skip the rest of the
-/// current stage: it failed itself, or a non-contained member of its
-/// group failed (dooming the whole group).
-fn mixed_doomed(failures: &[MixedFailure], mm: &CohortMemberMeta) -> bool {
-    failures
-        .iter()
-        .any(|f| f.group == mm.group && (!f.contained || f.copy == mm.copy))
-}
-
-/// Removes the single `(group, copy)` member from one (copies, meta) pair
-/// when present.
-fn remove_one<C>(
-    copies: &mut Vec<C>,
-    meta: &mut Vec<CohortMemberMeta>,
-    group: usize,
-    copy: usize,
-) -> bool {
-    if let Some(k) = meta
-        .iter()
-        .position(|mm| mm.group == group && mm.copy == copy)
-    {
-        copies.remove(k);
-        meta.remove(k);
-        true
-    } else {
-        false
-    }
-}
-
-/// Evicts the single `(group, copy)` member from whichever group vector
-/// holds it, recording a copy-level failure.
-fn evict_copy_mixed(
-    cohort: &mut EdgeCohort<'_>,
-    outcome: &mut CohortOutcome,
-    group: usize,
-    copy: usize,
-    error: EngineError,
-) {
-    let removed = remove_one(&mut cohort.mains, &mut cohort.main_meta, group, copy)
-        || remove_one(&mut cohort.ideals, &mut cohort.ideal_meta, group, copy);
-    if removed {
-        outcome.evicted += 1;
-    }
-    outcome.copy_failures.push((group, copy, error));
-}
-
-/// Resolves one stage's failures into evictions, mirroring
-/// [`resolve_failures`] for the mixed cohort: non-contained failures evict
-/// their whole group (first error wins), contained ones evict just the
-/// copy unless the group fell in the same batch.
-fn resolve_mixed_failures(
-    cohort: &mut EdgeCohort<'_>,
-    outcome: &mut CohortOutcome,
-    failures: Vec<MixedFailure>,
-) {
-    let mut group_fatal: Vec<(usize, EngineError)> = Vec::new();
-    let mut copy_level: Vec<(usize, usize, EngineError)> = Vec::new();
-    for f in failures {
-        if f.contained {
-            copy_level.push((f.group, f.copy, f.error));
-        } else if !doomed(&group_fatal, f.group) {
-            group_fatal.push((f.group, f.error));
-        }
-    }
-    for (group, error) in group_fatal {
-        evict_mixed(cohort, outcome, group, error);
-    }
-    for (group, copy, error) in copy_level {
-        if doomed(&outcome.failures, group) {
-            continue;
-        }
-        evict_copy_mixed(cohort, outcome, group, copy, error);
-    }
-}
-
-/// Fails every remaining group of the mixed cohort with a clone of `error`.
-fn fail_all_mixed(cohort: &mut EdgeCohort<'_>, outcome: &mut CohortOutcome, error: &EngineError) {
-    loop {
-        let group = cohort
-            .main_meta
-            .first()
-            .or(cohort.ideal_meta.first())
-            .map(|mm| mm.group);
-        match group {
-            Some(g) => evict_mixed(cohort, outcome, g, error.clone()),
-            None => break,
-        }
-    }
-}
-
-/// The per-shard accumulator bundle of one mixed shared sweep, in group
-/// order (mains, ideals).
-type MixedAccs = (Vec<MainStageAcc>, Vec<IdealStageAcc>);
-
-/// Executes a mixed cohort of six-pass and ideal copies over one shared
-/// edge snapshot: each stage of the schedule runs **one** shared sweep
-/// feeding every participating member — the six-pass copies through their
-/// union plans and each ideal job's fold. Members whose pass budget is
-/// exhausted (ideal jobs after stage 2) retire from the sweep schedule;
-/// the survivors keep fusing.
-///
-/// Containment, deadlines, cancellation and fault probes follow
-/// [`drive_cohort`] exactly, at job granularity across both groups
-/// (copy granularity for members with [`CohortMemberMeta::contained`]).
-/// Bit-identity holds for the same reason as the homogeneous driver:
-/// every fold a member sees is the same fold, on the same chunks at the
-/// same positions, that its per-copy execution would have run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
-    cohort: &mut EdgeCohort<'_>,
-    cancel: &CancelToken,
-    num_vertices: usize,
-    edges: &[Edge],
-    batch: usize,
-    workers: usize,
-    shards: usize,
-    recorder: &R,
-    lane: usize,
-    trace: &mut Vec<PassTrace>,
-    pool: &mut P,
-) -> CohortOutcome {
-    debug_assert_eq!(cohort.mains.len(), cohort.main_meta.len());
-    debug_assert_eq!(cohort.ideals.len(), cohort.ideal_meta.len());
-    let mut outcome = CohortOutcome::default();
-    let batch = batch.max(1);
-    while cohort.unfinished() {
-        let stage = cohort.stage();
-        debug_assert!(
-            cohort
-                .mains
-                .iter()
-                .map(StagedCopy::pass_index)
-                .chain(
-                    cohort
-                        .ideals
-                        .iter()
-                        .filter(|c| !c.finished())
-                        .map(|c| c.pass_index())
-                )
-                .all(|p| p == stage),
-            "mixed cohort members run in stage lockstep"
-        );
-        if cancel.is_cancelled() {
-            fail_all_mixed(
-                cohort,
-                &mut outcome,
-                &EngineError::Cancelled {
-                    completed_passes: stage,
-                },
-            );
-            break;
-        }
-        // One clock read per stage covers every group's deadline.
-        let now = Instant::now();
-        let mut expired: Vec<usize> = Vec::new();
-        for mm in cohort.main_meta.iter().chain(&cohort.ideal_meta) {
-            if mm.deadline.is_some_and(|d| now >= d) && !expired.contains(&mm.group) {
-                expired.push(mm.group);
-            }
-        }
-        for group in expired {
-            evict_mixed(
-                cohort,
-                &mut outcome,
-                group,
-                EngineError::DeadlineExceeded {
-                    completed_passes: stage,
-                },
-            );
-        }
-        if cohort.is_empty() {
-            break;
-        }
-        // Stage-boundary fault probes, one per member, keyed by the
-        // member's fault key — identical cadence to the homogeneous driver.
-        if faults::ENABLED {
-            let mut hit: Vec<MixedFailure> = Vec::new();
-            for (k, mm) in cohort
-                .main_meta
-                .iter()
-                .chain(&cohort.ideal_meta)
-                .enumerate()
-            {
-                let probed = catch_unwind(AssertUnwindSafe(|| {
-                    faults::probe(faults::FaultSite::PassBoundary, mm.fault_key)
-                }));
-                if let Err(payload) = probed {
-                    hit.push(MixedFailure::of(mm, EngineError::panicked(k, payload)));
-                }
-            }
-            resolve_mixed_failures(cohort, &mut outcome, hit);
-            if cohort.is_empty() {
-                break;
-            }
-        }
-        let mut stage_failures: Vec<MixedFailure> = Vec::new();
-
-        // ---- the stage's shared sweep ----------------------------------
-        let ideals_active = cohort.ideals.iter().any(|c| !c.finished());
-        if !cohort.mains.is_empty() || ideals_active {
-            let plan_started = Instant::now();
-            let main_plan: Option<MainCohortPlan> =
-                (!cohort.mains.is_empty()).then(|| MainCopyStages::plan_cohort(&cohort.mains));
-            let plan_nanos = if R::ENABLED {
-                plan_started.elapsed().as_nanos() as u64
-            } else {
-                0
-            };
-            let started = Instant::now();
-            let mut shard_reports: Vec<ShardReport> = Vec::new();
-            let mut sweep_busy = 0u64;
-            let mains: &[MainCopyStages] = &cohort.mains;
-            let ideals: &[IdealCopyStages<'_, StreamStats>] = &cohort.ideals;
-            let plan_ref = &main_plan;
-            let fold_slice = |slice: &[Edge], start: u64| -> MixedAccs {
-                let mut main_accs: Vec<MainStageAcc> =
-                    mains.iter().map(StagedCopy::begin_pass).collect();
-                let mut scratch = MainCohortScratch::default();
-                let mut ideal_accs: Vec<IdealStageAcc> = if ideals_active {
-                    ideals.iter().map(|c| c.begin_pass()).collect()
-                } else {
-                    Vec::new()
-                };
-                let mut pos = start;
-                for chunk in slice.chunks(batch) {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    if let Some(plan) = plan_ref {
-                        MainCopyStages::fold_cohort(
-                            plan,
-                            mains,
-                            &mut main_accs,
-                            &mut scratch,
-                            pos,
-                            chunk,
-                        );
-                    }
-                    if ideals_active {
-                        for (stages, acc) in ideals.iter().zip(ideal_accs.iter_mut()) {
-                            stages.fold(acc, pos, chunk);
-                        }
-                    }
-                    pos += chunk.len() as u64;
-                }
-                (main_accs, ideal_accs)
-            };
-            // `None` = some shard panicked; drop to the per-member
-            // fallback, exactly like the homogeneous driver.
-            let per_shard: Option<Vec<MixedAccs>> = if workers > 1 {
-                let view: ShardedSnapshot<'_, Edge> =
-                    ShardedSnapshot::new(num_vertices, edges, shards.max(1));
-                let results = pool.sweep_shards(view.shards(), |s| {
-                    fold_slice(view.shard(s), view.shard_range(s).start as u64)
-                });
-                let mut collected = Vec::with_capacity(results.len());
-                let mut panicked = false;
-                for (s, (result, nanos)) in results.into_iter().enumerate() {
-                    match result {
-                        Ok(accs) => {
-                            sweep_busy += nanos;
-                            if R::ENABLED {
-                                shard_reports.push(ShardReport {
-                                    items: view.shard(s).len() as u64,
-                                    nanos,
-                                });
-                            }
-                            collected.push(accs);
-                        }
-                        Err(_) => panicked = true,
-                    }
-                }
-                if panicked {
-                    shard_reports.clear();
-                    sweep_busy = 0;
-                    None
-                } else {
-                    Some(collected)
-                }
-            } else {
-                catch_unwind(AssertUnwindSafe(|| fold_slice(edges, 0)))
-                    .ok()
-                    .map(|accs| vec![accs])
-            };
-            // Per-member fold results, flattened back to (kind, member) —
-            // either from the shared sweep's shard transposition or from
-            // the per-member panic-isolation fallback.
-            #[allow(clippy::type_complexity)]
-            let (main_folds, ideal_folds): (
-                Vec<std::thread::Result<Vec<MainStageAcc>>>,
-                Vec<std::thread::Result<Vec<IdealStageAcc>>>,
-            ) = match per_shard {
-                Some(shards_accs) => {
-                    let mut main_shards: Vec<Vec<MainStageAcc>> = Vec::new();
-                    let mut ideal_shards: Vec<Vec<IdealStageAcc>> = Vec::new();
-                    for (m, i) in shards_accs {
-                        main_shards.push(m);
-                        ideal_shards.push(i);
-                    }
-                    (
-                        transpose(main_shards, mains.len())
-                            .into_iter()
-                            .map(Ok)
-                            .collect(),
-                        transpose(ideal_shards, if ideals_active { ideals.len() } else { 0 })
-                            .into_iter()
-                            .map(Ok)
-                            .collect(),
-                    )
-                }
-                None => {
-                    let main_folds = mains
-                        .iter()
-                        .map(|c| fold_copy_caught(c, batch, edges, cancel).map(|a| vec![a]))
-                        .collect();
-                    let ideal_folds = if ideals_active {
-                        ideals
-                            .iter()
-                            .map(|c| {
-                                catch_unwind(AssertUnwindSafe(|| {
-                                    let mut acc = c.begin_pass();
-                                    let mut pos = 0u64;
-                                    for chunk in edges.chunks(batch) {
-                                        if cancel.is_cancelled() {
-                                            break;
-                                        }
-                                        c.fold(&mut acc, pos, chunk);
-                                        pos += chunk.len() as u64;
-                                    }
-                                    vec![acc]
-                                }))
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    (main_folds, ideal_folds)
-                }
-            };
-            drop(main_plan);
-            let nanos = started.elapsed().as_nanos() as u64;
-            if cancel.is_cancelled() {
-                resolve_mixed_failures(cohort, &mut outcome, stage_failures);
-                fail_all_mixed(
-                    cohort,
-                    &mut outcome,
-                    &EngineError::Cancelled {
-                        completed_passes: stage,
-                    },
-                );
-                break;
-            }
-            // Finish every participating member, containing failures at
-            // group granularity (copy granularity for contained members).
-            for (k, result) in main_folds.into_iter().enumerate() {
-                let mm = cohort.main_meta[k];
-                if mixed_doomed(&stage_failures, &mm) {
-                    continue;
-                }
-                match result {
-                    Err(payload) => stage_failures
-                        .push(MixedFailure::of(&mm, EngineError::panicked(k, payload))),
-                    Ok(accs) => match finish_copy_caught(&mut cohort.mains[k], accs) {
-                        Ok(Ok(())) => cohort.mains[k].set_pass_nanos(stage, nanos),
-                        Ok(Err(e)) => stage_failures.push(MixedFailure::of(&mm, e)),
-                        Err(payload) => stage_failures
-                            .push(MixedFailure::of(&mm, EngineError::panicked(k, payload))),
-                    },
-                }
-            }
-            for (k, result) in ideal_folds.into_iter().enumerate() {
-                let mm = cohort.ideal_meta[k];
-                if mixed_doomed(&stage_failures, &mm) {
-                    continue;
-                }
-                match result {
-                    Err(payload) => stage_failures
-                        .push(MixedFailure::of(&mm, EngineError::panicked(k, payload))),
-                    Ok(accs) => {
-                        let finish =
-                            catch_unwind(AssertUnwindSafe(|| cohort.ideals[k].finish_pass(accs)));
-                        match finish {
-                            Ok(Ok(())) => cohort.ideals[k].set_pass_nanos(stage, nanos),
-                            Ok(Err(e)) => {
-                                stage_failures.push(MixedFailure::of(&mm, EngineError::from(e)))
-                            }
-                            Err(payload) => stage_failures
-                                .push(MixedFailure::of(&mm, EngineError::panicked(k, payload))),
-                        }
-                    }
-                }
-            }
-            if R::ENABLED {
-                if workers <= 1 && shard_reports.is_empty() {
-                    shard_reports.push(ShardReport {
-                        items: edges.len() as u64,
-                        nanos,
-                    });
-                }
-                recorder.add(lane, Counter::SweepsExecuted, 1);
-                recorder.span(lane, Span::PlanBuild, plan_nanos);
-                recorder.span(lane, Span::FusedSweep, nanos);
-                recorder.observe(lane, Hist::PassNanos, nanos);
-                for (s, shard) in shard_reports.iter().enumerate() {
-                    recorder.observe(s, Hist::ShardNanos, shard.nanos);
-                }
-                trace.push(PassTrace {
-                    pass: stage,
-                    plan_nanos,
-                    sweep_nanos: nanos,
-                    shards: std::mem::take(&mut shard_reports),
-                });
-            }
-            outcome.sweeps += 1;
-            outcome.busy_nanos += if sweep_busy > 0 { sweep_busy } else { nanos };
-        }
-        resolve_mixed_failures(cohort, &mut outcome, stage_failures);
     }
     outcome
 }

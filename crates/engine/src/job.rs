@@ -75,8 +75,9 @@ pub enum Backoff {
 ///
 /// Copy seeds are position-keyed (`RngMode::Counter`), so re-running only
 /// the failed copies is bit-identical to an undisturbed run — retrying
-/// never perturbs results, it only spends time. Retries run after the
-/// main tiers on the coordinator, respect the job deadline and the cancel
+/// never perturbs results, it only spends time. Retries run on the
+/// coordinator once the cohorts finish, each failed copy driven again as
+/// a one-member cohort; they respect the job deadline and the cancel
 /// token (a retry that cannot fit before the deadline short-circuits
 /// instead of sleeping), and a copy that exhausts its attempts is
 /// quarantined into the degraded path governed by [`QuorumPolicy`].
@@ -188,18 +189,6 @@ impl JobKind {
             JobKind::Baseline(_) => 1,
             JobKind::Dynamic(c) => c.copies,
         }
-    }
-
-    /// Whether this job's copies can run passes shard-parallel over a
-    /// sharded snapshot view ([`ShardedStream`](degentri_stream::ShardedStream)
-    /// / [`ShardedDynamicStream`](degentri_stream::ShardedDynamicStream)).
-    ///
-    /// Every estimator pass — six-pass, ideal and turnstile — is an
-    /// order-insensitive fold under counter-based randomness, so every
-    /// estimator job shards. Baselines build stateful per-edge structures
-    /// and never shard.
-    pub fn supports_intra_task_sharding(&self) -> bool {
-        !matches!(self, JobKind::Baseline(_))
     }
 }
 
@@ -438,21 +427,16 @@ mod tests {
         let ideal = JobSpec::ideal("i", config);
         assert_eq!(ideal.kind.task_count(), 5);
         assert!(format!("{:?}", ideal.kind).contains("Ideal"));
-        // Both estimators' passes are order-insensitive folds.
-        assert!(main.kind.supports_intra_task_sharding());
-        assert!(ideal.kind.supports_intra_task_sharding());
     }
 
     #[test]
-    fn dynamic_jobs_expose_their_config_and_shard_under_counter_mode() {
+    fn dynamic_jobs_expose_their_config() {
         let config = DynamicEstimatorConfig::new(3, 50).with_copies(4);
         let job = JobSpec::dynamic("turnstile", config);
         assert_eq!(job.kind.task_count(), 4);
         assert!(job.kind.config().is_none());
         assert_eq!(job.kind.dynamic_config().unwrap().copies, 4);
         assert!(format!("{:?}", job.kind).contains("Dynamic"));
-        // Sketch folds are linear, so turnstile copies shard too.
-        assert!(job.kind.supports_intra_task_sharding());
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! building blocks:
 //!
 //! * [`parallel`] — copy-level parallelism: the `copies` independent copies
-//!   of Algorithm 2 (or of the ideal estimator) run on a scoped worker
-//!   pool with the *same* deterministic per-copy seeds as the standalone
-//!   runner ([`degentri_core::main_copy_seed`]) and are folded with the
-//!   same aggregation ([`degentri_core::aggregate_copies`]), so the result
-//!   is bit-identical to [`degentri_core::estimate_triangles`] at any
-//!   worker count.
+//!   of Algorithm 2 (or of the ideal estimator) run as standalone copies on
+//!   a scoped worker pool with the *same* deterministic per-copy seeds as
+//!   the standalone runner ([`degentri_core::main_copy_seed`]) and are
+//!   folded with the same aggregation ([`degentri_core::aggregate_copies`]),
+//!   so the result is bit-identical to [`degentri_core::estimate_triangles`]
+//!   at any worker count.
 //! * [`scheduler`] — job-level concurrency: an [`Engine`] accepts many
 //!   [`JobSpec`]s (main estimator, ideal estimator, or any Table-1
 //!   baseline through its common trait) against one shared graph snapshot
@@ -22,10 +22,8 @@
 //!   throughput statistics ([`EngineStats`]). Turnstile (insert/delete)
 //!   jobs go through the same scheduler over a shared **dynamic** snapshot:
 //!   [`JobSpec::dynamic`] + [`Engine::run_dynamic`] run the
-//!   `degentri-dynamic` estimator's copies — each copy's sketch folds
-//!   shard across spare workers over one
-//!   [`degentri_stream::ShardedDynamicStream`] view — bit-identical to the
-//!   standalone estimator.
+//!   `degentri-dynamic` estimator's copies as one cohort whose sweeps
+//!   shard across the pool — bit-identical to the standalone estimator.
 //! * batched streaming — the estimator hot loops consume the stream
 //!   through [`degentri_stream::EdgeStream::pass_batched`], which
 //!   in-memory snapshots serve as zero-copy slices; every copy the engine
@@ -56,27 +54,28 @@
 //!
 //! ## The fusion matrix: every estimator job kind, one pool
 //!
-//! Sweep-sharing ("fused execution", on by default) covers every
-//! estimator job kind. Each estimator has exactly one implementation, its
-//! stage object, so when a batch holds several estimator jobs their
-//! copies form **cohorts** that walk the snapshot together instead of each
-//! copy re-streaming it:
+//! Sweep-sharing ("fused execution") is the only way the engine runs an
+//! estimator copy. Each estimator has exactly one implementation, its
+//! stage object, and each estimator kind's copies form one homogeneous
+//! **cohort** that walks the snapshot together instead of each copy
+//! re-streaming it:
 //!
 //! * six-pass copies share all six passes of Algorithm 2;
-//! * ideal copies join the *same* cohort through the 3-pass stage object
-//!   ([`degentri_core::IdealCopyStages`]) and retire after pass 3 —
-//!   ragged memberships are fine, a sweep simply stops folding for
-//!   members whose passes are done;
-//! * dynamic (turnstile) copies fuse into their own cohort whose shared
-//!   probe passes walk one k-way-merged **union key table** — and an
-//!   edge snapshot serves them too, as an insert-only update stream.
+//! * ideal copies share the three passes of their own cohort of 3-pass
+//!   stage objects ([`degentri_core::IdealCopyStages`]) over the run's
+//!   one degree table;
+//! * dynamic (turnstile) copies share the four passes of their own cohort,
+//!   whose shared probe passes walk one k-way-merged **union key table**
+//!   — and an edge snapshot serves them too, as an insert-only update
+//!   stream.
 //!
-//! One work queue on one pool schedules fused cohort sweeps and
-//! per-copy tasks side by side, and [`EngineStats`] partitions the
-//! accounting by tier (`fused_sweeps` + `per_copy_sweeps`, busy time
-//! likewise). Every fused path stays bit-identical to per-copy
-//! scheduling — fusion changes what a batch *costs*, never what any
-//! copy computes:
+//! One work queue on one pool schedules the cohorts' sweeps and the
+//! baseline jobs side by side, and [`EngineStats`] splits the accounting
+//! (`fused_sweeps` for the cohort driver, `per_copy_sweeps` for the
+//! baselines and the oracle stats pass, busy time likewise). Every cohort
+//! stays bit-identical to the standalone runners, which drive the same
+//! stage objects one copy at a time — fusion changes what a batch
+//! *costs*, never what any copy computes:
 //!
 //! ```
 //! use degentri_core::EstimatorConfig;
@@ -103,11 +102,10 @@
 //! engine.submit(JobSpec::dynamic("turnstile", turnstile));
 //! let report = engine.run(&stream).unwrap();
 //! assert!(report.jobs.iter().all(|job| job.is_ok()));
-//! // 6 shared six-pass sweeps (also serving the ideal job's 3 passes)
-//! // + 4 turnstile cohort sweeps + 1 oracle stats pass — versus 40
-//! // sweeps unfused.
-//! assert_eq!(report.stats.sweeps_executed, 6 + 4 + 1);
-//! assert_eq!(report.stats.fused_cohorts, 2);
+//! // 6 six-pass + 3 ideal + 4 turnstile cohort sweeps + 1 oracle stats
+//! // pass — versus 40 sweeps copy by copy.
+//! assert_eq!(report.stats.sweeps_executed, 6 + 3 + 4 + 1);
+//! assert_eq!(report.stats.fused_cohorts, 3);
 //! assert_eq!(
 //!     report.stats.fused_sweeps + report.stats.per_copy_sweeps,
 //!     report.stats.sweeps_executed
@@ -120,8 +118,8 @@
 //! the run: each [`JobResult`] carries
 //! `Result<JobOutput, EngineError>` in [`JobResult::outcome`], and a
 //! panicking, erroring, late, or cancelled job never disturbs its
-//! batchmates — on the fused tier the failing job's copies are evicted
-//! from the shared probe structures and the survivors' results stay
+//! batchmates — the failing job's copies are evicted from their cohort's
+//! shared probe structures and the survivors' results stay
 //! **bit-identical** to a run submitted without the failed job
 //! (counter-mode randomness keys every draw by position, never by what
 //! else is in flight). Worker threads survive caught panics; only
@@ -182,7 +180,8 @@
 //!   (`copies_used`, `copies_lost`, the per-copy errors).
 //! * [`RetryPolicy`] ([`JobSpec::retry`] or the engine-wide
 //!   [`EngineConfig::retry_policy`]) re-executes failed copies with
-//!   [`Backoff`] pacing before any quorum decision. Copy seeds are
+//!   [`Backoff`] pacing before any quorum decision: each failed copy is
+//!   rebuilt and driven again as a one-member cohort. Copy seeds are
 //!   position-keyed, so a retried copy reproduces its undisturbed result
 //!   bit for bit; retries respect the job deadline and the cancel token,
 //!   and a copy that exhausts its attempts quarantines into the degraded

@@ -4,49 +4,49 @@
 //! the Table-1 baselines through their common trait and the turnstile
 //! estimator); [`Engine::run_snapshot`] executes every queued job over one
 //! [`Snapshot`] — the enum unifying insert-only edge slices and turnstile
-//! update slices — on a single scoped worker pool. The historical typed
-//! entry points [`Engine::run`] (edges) and [`Engine::run_dynamic`]
-//! (updates) are thin wrappers that borrow the stream's storage as a
-//! `Snapshot` (materializing one owned copy for exotic streams that do not
-//! expose their storage).
+//! update slices — on a single scoped worker pool. The typed entry points
+//! [`Engine::run`] (edges) and [`Engine::run_dynamic`] (updates) are thin
+//! wrappers that borrow the stream's storage as a `Snapshot`
+//! (materializing one owned copy for exotic streams that do not expose
+//! their storage).
 //!
-//! Scheduling happens in two tiers:
+//! Every estimator copy runs through one driver, the fused cohort driver
+//! ([`crate::fused`]):
 //!
-//! * **Fused cohorts** — estimator jobs, whose copies expose the
-//!   resumable stage-object API (`begin_pass → fold → finish_pass`), are
-//!   grouped into one cohort per snapshot flavor and executed by the
-//!   fused pass driver ([`crate::fused`]): each pass stage is **one**
-//!   physical sweep over the snapshot that feeds every in-flight copy's
-//!   fold chunk by chunk, so `passes × copies` traversals collapse into
-//!   `passes`. With spare workers the sweep itself is sharded (per-shard
-//!   accumulators merge in shard order).
-//! * **Per-copy tasks** — baselines, and every estimator job when fusion
-//!   is off ([`EngineConfig::fused_execution`]), are flattened into
-//!   independent tasks — one per estimator copy, one per baseline — and
-//!   executed on the pool, each estimator copy driving its stage object
-//!   one pass per sweep, including intra-copy sharded passes when the
-//!   pool is wider than the task list.
+//! * **Cohorts** — each estimator kind forms one homogeneous cohort per
+//!   run (six-pass, ideal, turnstile) of stage objects
+//!   (`begin_pass → fold → finish_pass`). Each pass stage is **one**
+//!   physical sweep over the snapshot that feeds every copy of the cohort
+//!   chunk by chunk, so `passes × copies` traversals collapse into
+//!   `passes`. With more than one worker the sweep is sharded across the
+//!   pool (per-shard accumulators merge in shard order).
+//! * **Retries** — a failed copy of a retry-enabled job is rebuilt by the
+//!   member constructor cohort formation used and driven again as a
+//!   one-member cohort.
+//! * **Baselines** — the Table-1 baselines have no stage object; each
+//!   runs as one queued job on the same pool, interleaving with the
+//!   cohorts' sweep shards.
 //!
-//! Both tiers use the same per-copy seeds ([`main_copy_seed`] /
-//! [`ideal_copy_seed`] / [`dynamic_copy_seed`]) and the same fold
-//! implementations, so every scheduling decision — fused or per-copy,
-//! sharded or not, any worker count — produces **bit-identical** results;
-//! only wall-clock time and the physical sweep count
-//! ([`EngineStats::sweeps_executed`]) change.
+//! Copies use the standalone runners' per-copy seeds ([`main_copy_seed`] /
+//! [`ideal_copy_seed`] / [`dynamic_copy_seed`]) and the same stage
+//! objects, so every scheduling decision — worker count, sharding, cohort
+//! grouping, retries — produces **bit-identical** results; only wall-clock
+//! time and the physical sweep count ([`EngineStats::sweeps_executed`])
+//! change.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use degentri_baselines::BaselineOutcome;
 use degentri_core::faults;
 use degentri_core::{
-    ideal_copy_seed, main_copy_seed, run_ideal_copy_sharded, run_ideal_copy_with,
-    run_main_copy_sharded, run_main_copy_with, validate_edges, CopyContribution, EstimatorConfig,
-    EstimatorError, IdealCopyStages, MainCopyStages,
+    ideal_copy_seed, main_copy_seed, validate_edges, CopyContribution, EstimatorError,
+    IdealCopyStages, MainCopyStages,
 };
 use degentri_dynamic::{
-    aggregate_dynamic_copies, dynamic_copy_seed, run_dynamic_copy_sharded, run_dynamic_copy_with,
-    validate_updates, DynamicCopyOutcome, DynamicCopyStages, DynamicError, DynamicEstimatorConfig,
+    aggregate_dynamic_copies, dynamic_copy_seed, validate_updates, DynamicCopyOutcome,
+    DynamicCopyStages, DynamicError,
 };
 use degentri_graph::Edge;
 use degentri_obs::{
@@ -54,14 +54,13 @@ use degentri_obs::{
     Recorder, RunReport, Span,
 };
 use degentri_stream::{
-    run_queued, DynamicEdgeStream, EdgeStream, EdgeUpdate, ShardedDynamicStream, ShardedStream,
-    Snapshot, StreamStats,
+    run_queued, DynamicEdgeStream, EdgeStream, EdgeUpdate, ShardedStream, Snapshot, StreamStats,
 };
 
 use crate::cancel::CancelToken;
 use crate::config::EngineConfig;
 use crate::fused::{
-    drive_cohort, drive_edge_cohort, CohortMemberMeta, CohortOutcome, EdgeCohort, PassTrace,
+    drive_cohort, CohortMemberMeta, CohortOutcome, InlineSweeps, PassTrace, StagedCopy, SweepPool,
 };
 use crate::job::{
     baseline_estimation, dynamic_estimation, Degradation, JobKind, JobOutput, JobResult, JobSpec,
@@ -70,9 +69,9 @@ use crate::job::{
 use crate::stats::{EngineStats, RecoveryTotals};
 use crate::{EngineError, Result};
 
-/// How many shards each intra-copy or fused-sweep worker gets to claim: a
-/// few shards per worker smooths out load imbalance from uneven chunk
-/// costs without shrinking shards below useful sizes.
+/// How many shards each fused-sweep worker gets to claim: a few shards
+/// per worker smooths out load imbalance from uneven chunk costs without
+/// shrinking shards below useful sizes.
 const SHARDS_PER_WORKER: usize = 4;
 
 /// A parallel, batched estimation engine over a shared stream snapshot.
@@ -124,71 +123,444 @@ pub struct EngineReport {
     pub run_report: Option<RunReport>,
 }
 
-/// One per-copy schedulable unit of the non-fused tier.
-#[derive(Debug, Clone, Copy)]
-enum Task {
-    MainCopy { job: usize, copy: usize },
-    IdealCopy { job: usize, copy: usize },
-    DynamicCopy { job: usize, copy: usize },
-    Baseline { job: usize },
+/// One queued baseline job's result slot, filled exactly once by the
+/// worker that claims it: the caught (panic-contained) outcome — `Err`
+/// when a cut check stopped it before running — plus its busy time.
+type BaselineSlot = Mutex<Option<std::thread::Result<(Result<BaselineOutcome>, Duration)>>>;
+
+/// Per-job bookkeeping of one run, filled by the baseline tasks, the
+/// cohorts and the retry layer, and drained into the [`JobResult`]s.
+struct Ledger {
+    /// First job-level error (deterministic order: later errors for the
+    /// same job are dropped).
+    job_errors: Vec<Option<EngineError>>,
+    /// Contained jobs' per-copy errors (`(copy, error)`), feeding the
+    /// retry layer and then the quorum-governed degraded assembly.
+    copy_errors: Vec<Vec<(usize, EngineError)>>,
+    /// Finished six-pass and ideal copies, keyed by copy index.
+    contributions: Vec<Vec<(usize, CopyContribution)>>,
+    /// Finished turnstile copies, keyed by copy index.
+    dyn_contributions: Vec<Vec<(usize, DynamicCopyOutcome)>>,
+    baseline_outcomes: Vec<Option<BaselineOutcome>>,
+    busy: Vec<Duration>,
+    tasks: Vec<usize>,
 }
 
-impl Task {
-    fn job(&self) -> usize {
-        match *self {
-            Task::MainCopy { job, .. }
-            | Task::IdealCopy { job, .. }
-            | Task::DynamicCopy { job, .. }
-            | Task::Baseline { job } => job,
+impl Ledger {
+    fn new(jobs: usize) -> Self {
+        Ledger {
+            job_errors: vec![None; jobs],
+            copy_errors: (0..jobs).map(|_| Vec::new()).collect(),
+            contributions: (0..jobs).map(|_| Vec::new()).collect(),
+            dyn_contributions: (0..jobs).map(|_| Vec::new()).collect(),
+            baseline_outcomes: (0..jobs).map(|_| None).collect(),
+            busy: vec![Duration::ZERO; jobs],
+            tasks: vec![0; jobs],
         }
     }
 }
 
-/// One queued per-copy task's result slot, filled exactly once by the
-/// worker that claims it: the caught (panic-contained) output plus the
-/// task's busy time.
-type TaskSlot<T> = Mutex<Option<std::thread::Result<(T, Duration)>>>;
-
-/// What one per-copy task produced (plus how long it took).
-enum TaskOutput {
-    Copy(degentri_core::Result<CopyContribution>),
-    Dynamic(degentri_dynamic::Result<DynamicCopyOutcome>),
-    Baseline(degentri_baselines::BaselineOutcome),
-    /// The task was cut before running (deadline elapsed or run cancelled).
-    Cut(EngineError),
-}
-
-/// What one per-copy turnstile task produced.
-enum DynTaskOutput {
-    Copy(degentri_dynamic::Result<DynamicCopyOutcome>),
-    /// The task was cut before running (deadline elapsed or run cancelled).
-    Cut(EngineError),
-}
-
-/// Records a job's **first** error (deterministic task order: later errors
-/// for the same job are dropped).
+/// Records a job's **first** error (deterministic order: later errors for
+/// the same job are dropped).
 fn fail_job(errors: &mut [Option<EngineError>], job: usize, error: EngineError) {
     if errors[job].is_none() {
         errors[job] = Some(error);
     }
 }
 
-/// Records one copy's failure at the right granularity: contained jobs
-/// collect per-copy errors (feeding the retry and degradation layers), all
-/// others fail the whole job with its first error.
-fn fail_copy(
-    contained: &[bool],
-    job_errors: &mut [Option<EngineError>],
-    copy_errors: &mut [Vec<(usize, EngineError)>],
-    job: usize,
-    copy: usize,
-    error: EngineError,
-) {
-    if contained[job] {
-        copy_errors[job].push((copy, error));
-    } else {
-        fail_job(job_errors, job, error);
+/// The typed error of an injected task-start fault on a six-pass or ideal
+/// copy, or on a baseline.
+fn estimator_task_start_error() -> EngineError {
+    EngineError::Estimator(EstimatorError::Injected {
+        site: faults::FaultSite::TaskStart,
+    })
+}
+
+/// What the scheduler needs of one estimator kind beyond driving it: how
+/// a finished copy reports, where its result goes, and how the kind's
+/// cohort is labelled.
+trait CopyKind: StagedCopy {
+    /// A finished copy's contribution to its job's aggregate.
+    type Output;
+    /// The cohort's [`CohortReport`] label.
+    const LABEL: &'static str;
+    /// The stable pass names the cohort's [`PassReport`]s carry.
+    const PASS_NAMES: &'static [&'static str];
+
+    /// Consumes a copy whose passes are done into its contribution.
+    fn finish_copy(self) -> Result<Self::Output>;
+
+    /// The copy's per-pass fold tallies (empty when the kind keeps none).
+    fn tallies(&self) -> &[PassTally] {
+        &[]
     }
+
+    /// The typed error of an injected task-start fault.
+    fn task_start_error() -> EngineError;
+
+    /// The ledger column holding this kind's finished copies.
+    fn results(ledger: &mut Ledger) -> &mut [Vec<(usize, Self::Output)>];
+}
+
+impl CopyKind for MainCopyStages {
+    type Output = CopyContribution;
+    const LABEL: &'static str = "six-pass";
+    const PASS_NAMES: &'static [&'static str] = &MainCopyStages::PASS_NAMES;
+
+    fn finish_copy(self) -> Result<CopyContribution> {
+        Ok(CopyContribution::from(&self.finish()?))
+    }
+
+    fn tallies(&self) -> &[PassTally] {
+        self.pass_tallies()
+    }
+
+    fn task_start_error() -> EngineError {
+        estimator_task_start_error()
+    }
+
+    fn results(ledger: &mut Ledger) -> &mut [Vec<(usize, CopyContribution)>] {
+        &mut ledger.contributions
+    }
+}
+
+impl CopyKind for IdealCopyStages<'_, StreamStats> {
+    type Output = CopyContribution;
+    const LABEL: &'static str = "three-pass";
+    const PASS_NAMES: &'static [&'static str] = &IdealCopyStages::<StreamStats>::PASS_NAMES;
+
+    fn finish_copy(self) -> Result<CopyContribution> {
+        Ok(CopyContribution::from(&self.finish()?))
+    }
+
+    fn task_start_error() -> EngineError {
+        estimator_task_start_error()
+    }
+
+    fn results(ledger: &mut Ledger) -> &mut [Vec<(usize, CopyContribution)>] {
+        &mut ledger.contributions
+    }
+}
+
+impl CopyKind for DynamicCopyStages {
+    type Output = DynamicCopyOutcome;
+    const LABEL: &'static str = "turnstile";
+    const PASS_NAMES: &'static [&'static str] = &DynamicCopyStages::PASS_NAMES;
+
+    fn finish_copy(self) -> Result<DynamicCopyOutcome> {
+        Ok(self.finish()?)
+    }
+
+    fn tallies(&self) -> &[PassTally] {
+        self.pass_tallies()
+    }
+
+    fn task_start_error() -> EngineError {
+        EngineError::Dynamic(DynamicError::Injected {
+            site: faults::FaultSite::TaskStart,
+        })
+    }
+
+    fn results(ledger: &mut Ledger) -> &mut [Vec<(usize, DynamicCopyOutcome)>] {
+        &mut ledger.dyn_contributions
+    }
+}
+
+/// The one member constructor of a run: cohort formation and the retry
+/// layer both build copy `copy` of job `job` here, so a retried copy is
+/// exactly the copy that failed — same seed, same fault key, same
+/// deadline and containment.
+struct Members<'a> {
+    jobs: &'a [JobSpec],
+    deadline_at: &'a [Option<Instant>],
+    contained: &'a [bool],
+    num_vertices: usize,
+    edge_count: usize,
+    update_count: usize,
+    stats: Option<&'a StreamStats>,
+}
+
+impl<'a> Members<'a> {
+    /// The member metadata; `fault_key` is the copy's per-copy seed, the
+    /// key that addresses the copy at every fault site on every path.
+    fn meta(&self, job: usize, copy: usize, fault_key: u64) -> CohortMemberMeta {
+        CohortMemberMeta {
+            group: job,
+            copy,
+            deadline: self.deadline_at[job],
+            fault_key,
+            contained: self.contained[job],
+        }
+    }
+
+    fn main(&self, job: usize, copy: usize) -> Result<(MainCopyStages, CohortMemberMeta)> {
+        let config = self.jobs[job].kind.config().expect("main job has a config");
+        let seed = main_copy_seed(config.seed, copy);
+        let stages = MainCopyStages::new(config, self.edge_count, self.num_vertices, seed)?;
+        Ok((stages, self.meta(job, copy, seed)))
+    }
+
+    fn ideal(
+        &self,
+        job: usize,
+        copy: usize,
+    ) -> Result<(IdealCopyStages<'a, StreamStats>, CohortMemberMeta)> {
+        let config = self.jobs[job]
+            .kind
+            .config()
+            .expect("ideal job has a config");
+        let stats = self.stats.expect("stats built for ideal jobs");
+        let seed = ideal_copy_seed(config.seed, copy);
+        let stages = IdealCopyStages::new(config, stats, self.edge_count, self.num_vertices, seed)?;
+        Ok((stages, self.meta(job, copy, seed)))
+    }
+
+    fn dynamic(&self, job: usize, copy: usize) -> Result<(DynamicCopyStages, CohortMemberMeta)> {
+        let config = self.jobs[job]
+            .kind
+            .dynamic_config()
+            .expect("dynamic job has a config");
+        let seed = dynamic_copy_seed(config.seed, copy);
+        let stages = DynamicCopyStages::new(config, self.update_count, self.num_vertices, seed)?;
+        Ok((stages, self.meta(job, copy, seed)))
+    }
+}
+
+/// One homogeneous cohort: the surviving members (stage objects plus
+/// index-aligned metadata) and what driving them produced.
+struct Cohort<C> {
+    copies: Vec<C>,
+    meta: Vec<CohortMemberMeta>,
+    /// The job of every member that joined, evicted or not.
+    joined: Vec<usize>,
+    formation_nanos: u64,
+    trace: Vec<PassTrace>,
+    outcome: CohortOutcome,
+}
+
+impl<C: CopyKind> Cohort<C> {
+    fn new() -> Self {
+        Cohort {
+            copies: Vec::new(),
+            meta: Vec::new(),
+            joined: Vec::new(),
+            formation_nanos: 0,
+            trace: Vec::new(),
+            outcome: CohortOutcome::default(),
+        }
+    }
+
+    /// Adds `copies` members built by `build(copy)`; a construction error
+    /// fails the run (it is a pre-flight problem of the job's config).
+    fn form(
+        &mut self,
+        copies: usize,
+        build: impl Fn(usize) -> Result<(C, CohortMemberMeta)>,
+    ) -> Result<()> {
+        let started = Instant::now();
+        for copy in 0..copies {
+            let (stages, mm) = build(copy)?;
+            self.copies.push(stages);
+            self.joined.push(mm.group);
+            self.meta.push(mm);
+        }
+        self.formation_nanos += started.elapsed().as_nanos() as u64;
+        Ok(())
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn drive<R: Recorder, P: SweepPool>(
+        &mut self,
+        cancel: &CancelToken,
+        num_vertices: usize,
+        items: &[C::Item],
+        batch: usize,
+        workers: usize,
+        shards: usize,
+        recorder: &R,
+        pool: &mut P,
+    ) {
+        self.outcome = drive_cohort(
+            &mut self.copies,
+            &mut self.meta,
+            cancel,
+            num_vertices,
+            items,
+            batch,
+            workers,
+            shards,
+            recorder,
+            0,
+            &mut self.trace,
+            pool,
+        );
+    }
+
+    /// Folds the driven cohort back into the run: containment failures
+    /// into the ledger, task and pro-rata busy attribution for every
+    /// member that joined, then each survivor's finish. Returns the
+    /// cohort's report when `record` is set and the cohort had members.
+    fn settle(
+        self,
+        ledger: &mut Ledger,
+        totals: &mut DriverTotals,
+        record: bool,
+        workers: usize,
+        shards: usize,
+    ) -> Option<CohortReport> {
+        let Cohort {
+            copies,
+            meta,
+            joined,
+            formation_nanos,
+            trace,
+            outcome,
+        } = self;
+        totals.sweeps += outcome.sweeps;
+        totals.busy += Duration::from_nanos(outcome.busy_nanos);
+        totals.evicted += outcome.evicted;
+        for (group, error) in outcome.failures {
+            fail_job(&mut ledger.job_errors, group, error);
+        }
+        // Copy-level evictions of contained members join the per-copy
+        // error set headed for the retry layer.
+        for (group, copy, error) in outcome.copy_failures {
+            ledger.copy_errors[group].push((copy, error));
+        }
+        // The sweeps are shared, so per-copy busy time is not separable:
+        // every member that started gets an equal share.
+        let share = Duration::from_nanos(outcome.busy_nanos).div_f64(joined.len().max(1) as f64);
+        for &job in &joined {
+            ledger.tasks[job] += 1;
+            ledger.busy[job] += share;
+        }
+        // Fold-loop tallies of the survivors, gathered before the stage
+        // objects are consumed below.
+        let report = (record && !joined.is_empty()).then(|| {
+            let mut tallies = vec![PassTally::default(); C::PASS_NAMES.len()];
+            for stages in &copies {
+                for (total, &tally) in tallies.iter_mut().zip(stages.tallies()) {
+                    total.merge(tally);
+                }
+            }
+            CohortReport {
+                label: C::LABEL.to_string(),
+                copies: joined.len(),
+                workers,
+                shards,
+                formation_nanos,
+                passes: pass_reports(&trace, C::PASS_NAMES, &tallies),
+            }
+        });
+        finish_members(copies, &meta, ledger);
+        report
+    }
+}
+
+/// Sweeps, busy time and evictions of the cohort driver, summed over the
+/// run's cohorts and retry attempts.
+#[derive(Debug, Default)]
+struct DriverTotals {
+    sweeps: u64,
+    busy: Duration,
+    evicted: usize,
+}
+
+/// Consumes one cohort's eviction survivors: finishes each member under
+/// panic containment, pushing its contribution (keyed by copy index) or
+/// failing its job with the first error — for
+/// [`contained`](CohortMemberMeta::contained) members, failing only the
+/// copy, so its siblings keep contributing toward a quorum.
+fn finish_members<C: CopyKind>(copies: Vec<C>, meta: &[CohortMemberMeta], ledger: &mut Ledger) {
+    for (k, (stages, mm)) in copies.into_iter().zip(meta).enumerate() {
+        let job = mm.group;
+        if ledger.job_errors[job].is_some() {
+            continue;
+        }
+        // `AssertUnwindSafe`: a panicking finish tears only this copy,
+        // whose job (or copy) is failed here.
+        let error = match catch_unwind(AssertUnwindSafe(|| stages.finish_copy())) {
+            Ok(Ok(output)) => {
+                C::results(ledger)[job].push((mm.copy, output));
+                continue;
+            }
+            Ok(Err(e)) => e,
+            Err(payload) => EngineError::panicked(k, payload),
+        };
+        if mm.contained {
+            ledger.copy_errors[job].push((mm.copy, error));
+        } else {
+            fail_job(&mut ledger.job_errors, job, error);
+        }
+    }
+}
+
+/// The cut checks a baseline task or a retry attempt faces before any
+/// work: cancellation, its job's deadline, then an injected task-start
+/// fault keyed by `fault_key` (typed by `injected`).
+fn start_checks(
+    cancel: &CancelToken,
+    deadline: Option<Instant>,
+    fault_key: u64,
+    injected: fn() -> EngineError,
+) -> Result<()> {
+    if cancel.is_cancelled() {
+        return Err(EngineError::Cancelled {
+            completed_passes: 0,
+        });
+    }
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(EngineError::DeadlineExceeded {
+            completed_passes: 0,
+        });
+    }
+    if faults::ENABLED && faults::injected(faults::FaultSite::TaskStart, fault_key) {
+        return Err(injected());
+    }
+    Ok(())
+}
+
+/// One retry attempt of a failed copy. The copy is rebuilt by the run's
+/// member constructor, passes the [`start_checks`] with the member's own
+/// fault key, and is then driven alone as a one-member cohort, unsharded
+/// on the coordinator, and finished. Completed sweeps are added to
+/// `sweeps` whether or not the attempt succeeds.
+fn retry_copy<C: CopyKind>(
+    member: Result<(C, CohortMemberMeta)>,
+    cancel: &CancelToken,
+    num_vertices: usize,
+    items: &[C::Item],
+    batch: usize,
+    sweeps: &mut u64,
+) -> Result<C::Output> {
+    let (stages, mm) = member?;
+    start_checks(cancel, mm.deadline, mm.fault_key, C::task_start_error)?;
+    let mut copies = vec![stages];
+    let mut meta = vec![mm];
+    let outcome = drive_cohort(
+        &mut copies,
+        &mut meta,
+        cancel,
+        num_vertices,
+        items,
+        batch,
+        1,
+        1,
+        &NoopRecorder,
+        0,
+        &mut Vec::new(),
+        &mut InlineSweeps,
+    );
+    *sweeps += outcome.sweeps;
+    if let Some((_, error)) = outcome.failures.into_iter().next() {
+        return Err(error);
+    }
+    if let Some((_, _, error)) = outcome.copy_failures.into_iter().next() {
+        return Err(error);
+    }
+    let stages = copies.pop().expect("a member that never failed survives");
+    catch_unwind(AssertUnwindSafe(|| stages.finish_copy()))
+        .unwrap_or_else(|payload| Err(EngineError::panicked(0, payload)))
 }
 
 /// Sleeps for `delay` in small slices, returning `false` as soon as the
@@ -217,7 +589,7 @@ struct RetryTally {
 }
 
 /// Drains every retry-enabled job's copy failures through its policy on
-/// the coordinator, after both execution tiers have finished.
+/// the coordinator, after the pool has finished.
 ///
 /// Copies are retried in copy order, each driven to success or quarantine
 /// before the next; `rerun(job, copy)` re-executes one copy and records
@@ -365,19 +737,20 @@ impl Engine {
     /// failures — a panicking copy, an estimator error, an elapsed
     /// [`JobSpec::deadline`], a fired [`CancelToken`] — are contained per
     /// job: the failing job's [`JobResult::outcome`] carries the first
-    /// error (in deterministic task order) while every other job completes
+    /// error (in deterministic order) while every other job completes
     /// with results **bit-identical** to a run that never included the
     /// failed job.
+    ///
+    /// Recording ([`EngineConfig::recording`]) dispatches here: the run is
+    /// monomorphized per recorder, so the `recording: false` instantiation
+    /// carries [`NoopRecorder`]'s empty inlined methods — zero cost rather
+    /// than a branch per instrumentation point.
     pub fn run_snapshot(&mut self, snapshot: &Snapshot<'_>) -> Result<EngineReport> {
-        match *snapshot {
-            Snapshot::Edges {
-                num_vertices,
-                edges,
-            } => self.run_edges(num_vertices, edges),
-            Snapshot::Updates {
-                num_vertices,
-                updates,
-            } => self.run_updates(num_vertices, updates),
+        if self.config.recording {
+            let recorder = MetricsRecorder::new(self.config.workers.max(1) * SHARDS_PER_WORKER);
+            self.run_rec(snapshot, &recorder)
+        } else {
+            self.run_rec(snapshot, &NoopRecorder)
         }
     }
 
@@ -430,86 +803,57 @@ impl Engine {
         }
     }
 
-    /// Whether estimator jobs may fuse under this configuration. A
-    /// fused cohort's only parallelism is its sharded sweeps, so with
-    /// intra-task sharding disabled *and* a multi-worker pool, fusing
-    /// would serialize work that per-copy scheduling runs copy-parallel —
-    /// those configurations keep the per-copy tier (preserving the
-    /// documented "copy-level parallelism only" meaning of the flag).
-    fn fusion_enabled(&self) -> bool {
-        self.config.fused_execution && (self.config.intra_task_sharding || self.config.workers <= 1)
-    }
-
-    /// The fused-sweep worker count and shard count for a cohort.
-    fn cohort_parallelism(&self) -> (usize, usize) {
-        let workers = if self.config.intra_task_sharding {
-            self.config.workers.max(1)
-        } else {
-            1
-        };
-        (workers, workers * SHARDS_PER_WORKER)
-    }
-
-    /// Dispatches on [`EngineConfig::recording`]: the generic runner is
-    /// monomorphized per recorder, so the `recording: false` instantiation
-    /// carries [`NoopRecorder`]'s empty inlined methods — zero cost rather
-    /// than a branch per instrumentation point.
-    fn run_edges(&mut self, num_vertices: usize, edges: &[Edge]) -> Result<EngineReport> {
-        if self.config.recording {
-            let recorder = MetricsRecorder::new(self.config.workers.max(1) * SHARDS_PER_WORKER);
-            self.run_edges_rec(num_vertices, edges, &recorder)
-        } else {
-            self.run_edges_rec(num_vertices, edges, &NoopRecorder)
-        }
-    }
-
-    fn run_edges_rec<R: Recorder>(
+    /// The scheduler body behind [`Engine::run_snapshot`], for both
+    /// snapshot flavors.
+    fn run_rec<R: Recorder>(
         &mut self,
-        num_vertices: usize,
-        edges: &[Edge],
+        snapshot: &Snapshot<'_>,
         recorder: &R,
     ) -> Result<EngineReport> {
         let jobs: Vec<JobSpec> = self.jobs.drain(..).collect();
         let submitted: Vec<Instant> = self.submitted.drain(..).collect();
 
-        // Reject invalid configurations before any work starts.
+        // ---- Pre-flight: reject bad configurations and inputs ----------
         self.config.validate()?;
-        // Each job's estimator configuration (`None` for other kinds).
-        let configs: Vec<Option<&EstimatorConfig>> =
-            jobs.iter().map(|spec| spec.kind.config()).collect();
-        for config in configs.iter().flatten() {
-            config.validate().map_err(EngineError::from)?;
+        let (num_vertices, edges, update_snapshot): (usize, &[Edge], Option<&[EdgeUpdate]>) =
+            match *snapshot {
+                Snapshot::Edges {
+                    num_vertices,
+                    edges,
+                } => (num_vertices, edges, None),
+                Snapshot::Updates {
+                    num_vertices,
+                    updates,
+                } => (num_vertices, &[], Some(updates)),
+            };
+        for spec in &jobs {
+            if update_snapshot.is_some() && !matches!(spec.kind, JobKind::Dynamic(_)) {
+                return Err(EngineError::unsupported_job(format!(
+                    "job '{}' is not a turnstile job; run it over an edge \
+                     snapshot (Engine::run or Snapshot::Edges)",
+                    spec.label
+                )));
+            }
+            if let Some(config) = spec.kind.config() {
+                config.validate()?;
+            }
+            if let Some(config) = spec.kind.dynamic_config() {
+                config.validate()?;
+            }
         }
-        // Turnstile jobs are welcome on an edge snapshot too: each edge
-        // becomes one insertion, so a mixed main + ideal + dynamic batch
-        // shares a single input.
-        let dyn_configs: Vec<Option<&DynamicEstimatorConfig>> =
-            jobs.iter().map(|spec| spec.kind.dynamic_config()).collect();
-        for config in dyn_configs.iter().flatten() {
-            config.validate().map_err(EngineError::from)?;
-        }
-        // Optional input hardening, still pre-flight: a malformed snapshot
-        // fails the run before any job starts.
         if self.config.validate_input {
-            validate_edges(num_vertices, edges).map_err(EngineError::from)?;
+            match update_snapshot {
+                Some(updates) => validate_updates(num_vertices, updates)?,
+                None => validate_edges(num_vertices, edges)?,
+            }
         }
-        let batch = self.config.batch_size;
-        let m = edges.len();
-
-        // The run's timed region starts here so the shared degree-table
-        // pass below is covered by the same clock that its edges are
-        // charged to in `edges_streamed`.
-        let started = Instant::now();
-        let faults_before = faults::injected_count();
-        let cancel = self.cancel.clone();
-        // Per-job absolute deadlines, measured from run start.
-        let deadline_at: Vec<Option<Instant>> = jobs
+        let any_dynamic = jobs
             .iter()
-            .map(|spec| spec.deadline.map(|limit| started + limit))
-            .collect();
-        // Per-job contained errors (first error in deterministic task
-        // order wins); populated by the per-copy and fused tiers below.
-        let mut job_errors: Vec<Option<EngineError>> = vec![None; jobs.len()];
+            .any(|spec| matches!(spec.kind, JobKind::Dynamic(_)));
+        let snapshot_len = update_snapshot.map_or(edges.len(), <[EdgeUpdate]>::len);
+        if any_dynamic && snapshot_len == 0 {
+            return Err(EngineError::Dynamic(DynamicError::EmptyStream));
+        }
         // Per-job recovery plumbing: the retry policy in effect (job
         // override, else the engine default), and whether failures are
         // contained at copy granularity. A job opts into copy containment
@@ -520,47 +864,45 @@ impl Engine {
             .iter()
             .map(|spec| spec.retry.or(self.config.retry_policy))
             .collect();
-        for policy in retry_of.iter().flatten() {
-            if policy.max_attempts == 0 {
-                return Err(EngineError::invalid_config(
-                    "retry.max_attempts must be at least 1",
-                ));
-            }
+        if retry_of.iter().flatten().any(|p| p.max_attempts == 0) {
+            return Err(EngineError::invalid_config(
+                "retry.max_attempts must be at least 1",
+            ));
         }
         let contained: Vec<bool> = jobs
             .iter()
-            .enumerate()
-            .map(|(job, spec)| {
-                (retry_of[job].is_some() || spec.quorum.allow_degraded)
+            .zip(&retry_of)
+            .map(|(spec, retry)| {
+                (retry.is_some() || spec.quorum.allow_degraded)
                     && !matches!(spec.kind, JobKind::Baseline(_))
             })
             .collect();
-        // Contained jobs' per-copy errors (`(copy, error)`), feeding the
-        // retry layer and then the quorum-governed degraded assembly.
-        let mut copy_errors: Vec<Vec<(usize, EngineError)>> =
-            jobs.iter().map(|_| Vec::new()).collect();
+        let batch = self.config.batch_size;
 
-        // The whole snapshot behind one plain stream view (zero-copy); the
-        // per-copy tier streams through it.
-        let plain = ShardedStream::new(num_vertices, edges, 1);
-        // Turnstile jobs see the same snapshot as an insert-only update
-        // stream, materialized once for all of them.
-        let dyn_updates: Vec<EdgeUpdate> = if jobs
+        // The run's timed region starts here, so the insert materialization
+        // and the shared degree-table pass below are covered by the same
+        // clock their items are charged to in `edges_streamed`.
+        let started = Instant::now();
+        let faults_before = faults::injected_count();
+        let cancel = self.cancel.clone();
+        // Per-job absolute deadlines, measured from run start.
+        let deadline_at: Vec<Option<Instant>> = jobs
             .iter()
-            .any(|spec| matches!(spec.kind, JobKind::Dynamic(_)))
-        {
-            if edges.is_empty() {
-                return Err(EngineError::Dynamic(DynamicError::EmptyStream));
-            }
+            .map(|spec| spec.deadline.map(|limit| started + limit))
+            .collect();
+        // Turnstile jobs are welcome on an edge snapshot too: each edge
+        // becomes one insertion, materialized once for all of them.
+        let inserts: Vec<EdgeUpdate> = if update_snapshot.is_none() && any_dynamic {
             edges.iter().map(|&edge| EdgeUpdate::insert(edge)).collect()
         } else {
             Vec::new()
         };
-        let dyn_plain = ShardedDynamicStream::new(num_vertices, &dyn_updates, 1);
-
-        // The ideal estimator's degree table costs one pass; build it
-        // once — before cohort formation, whose fused ideal members
-        // borrow it — and share it across every ideal job and copy.
+        let updates: &[EdgeUpdate] = update_snapshot.unwrap_or(&inserts);
+        // The whole edge snapshot behind one plain stream view (zero-copy)
+        // for the baselines and the degree-table pass.
+        let plain = ShardedStream::new(num_vertices, edges, 1);
+        // The ideal estimator's degree table costs one pass; build it once
+        // and share it across every ideal job and copy.
         let stats_started = Instant::now();
         let ideal_stats: Option<StreamStats> = jobs
             .iter()
@@ -573,572 +915,203 @@ impl Engine {
                 stats_started.elapsed().as_nanos() as u64,
             );
         }
-        let stats_pass = started.elapsed();
+        // Serial set-up is work this run performed: it belongs in busy
+        // time just as the stats pass's edges are in `edges_streamed`.
+        let mut busy_total = started.elapsed();
 
-        // Tier split: with fusion enabled every estimator job fuses (the
-        // six-pass and ideal copies share one edge cohort, turnstile copies
-        // their own); baselines become per-copy tasks.
-        let fusion = self.fusion_enabled();
-        let formation_started = Instant::now();
-        let mut cohort = EdgeCohort {
-            mains: Vec::new(),
-            main_meta: Vec::new(),
-            ideals: Vec::new(),
-            ideal_meta: Vec::new(),
+        // ---- Cohort formation: one homogeneous cohort per kind ---------
+        let members = Members {
+            jobs: &jobs,
+            deadline_at: &deadline_at,
+            contained: &contained,
+            num_vertices,
+            edge_count: edges.len(),
+            update_count: updates.len(),
+            stats: ideal_stats.as_ref(),
         };
-        let mut dyn_cohort: Vec<DynamicCopyStages> = Vec::new();
-        let mut dyn_meta: Vec<CohortMemberMeta> = Vec::new();
-        let mut cohort_of: Vec<(usize, usize)> = Vec::new();
-        let mut tasks: Vec<Task> = Vec::new();
+        let mut mains: Cohort<MainCopyStages> = Cohort::new();
+        let mut ideals: Cohort<IdealCopyStages<'_, StreamStats>> = Cohort::new();
+        let mut turnstiles: Cohort<DynamicCopyStages> = Cohort::new();
+        let mut baselines: Vec<usize> = Vec::new();
         for (job, spec) in jobs.iter().enumerate() {
-            let count = spec.kind.task_count();
-            match &spec.kind {
-                JobKind::Main(config) if fusion => {
-                    for copy in 0..count {
-                        let seed = main_copy_seed(config.seed, copy);
-                        cohort.mains.push(
-                            MainCopyStages::new(config, m, num_vertices, seed)
-                                .map_err(EngineError::from)?,
-                        );
-                        cohort.main_meta.push(CohortMemberMeta {
-                            group: job,
-                            copy,
-                            deadline: deadline_at[job],
-                            fault_key: seed,
-                            contained: contained[job],
-                        });
-                        cohort_of.push((job, copy));
-                    }
-                }
-                JobKind::Ideal(config) if fusion => {
-                    let stats = ideal_stats.as_ref().expect("stats built for ideal jobs");
-                    for copy in 0..count {
-                        let seed = ideal_copy_seed(config.seed, copy);
-                        cohort.ideals.push(
-                            IdealCopyStages::new(config, stats, m, num_vertices, seed)
-                                .map_err(EngineError::from)?,
-                        );
-                        cohort.ideal_meta.push(CohortMemberMeta {
-                            group: job,
-                            copy,
-                            deadline: deadline_at[job],
-                            fault_key: seed,
-                            contained: contained[job],
-                        });
-                        cohort_of.push((job, copy));
-                    }
-                }
-                JobKind::Dynamic(config) if fusion => {
-                    for copy in 0..count {
-                        let seed = dynamic_copy_seed(config.seed, copy);
-                        dyn_cohort.push(
-                            DynamicCopyStages::new(config, dyn_updates.len(), num_vertices, seed)
-                                .map_err(EngineError::from)?,
-                        );
-                        dyn_meta.push(CohortMemberMeta {
-                            group: job,
-                            copy,
-                            deadline: deadline_at[job],
-                            fault_key: seed,
-                            contained: contained[job],
-                        });
-                        cohort_of.push((job, copy));
-                    }
-                }
-                JobKind::Main(_) => {
-                    tasks.extend((0..count).map(|copy| Task::MainCopy { job, copy }));
-                }
-                JobKind::Ideal(_) => {
-                    tasks.extend((0..count).map(|copy| Task::IdealCopy { job, copy }));
-                }
+            let copies = spec.kind.task_count();
+            match spec.kind {
+                JobKind::Main(_) => mains.form(copies, |copy| members.main(job, copy))?,
+                JobKind::Ideal(_) => ideals.form(copies, |copy| members.ideal(job, copy))?,
                 JobKind::Dynamic(_) => {
-                    tasks.extend((0..count).map(|copy| Task::DynamicCopy { job, copy }));
+                    turnstiles.form(copies, |copy| members.dynamic(job, copy))?
                 }
-                JobKind::Baseline(_) => tasks.push(Task::Baseline { job }),
+                JobKind::Baseline(_) => baselines.push(job),
             }
         }
-        let formation_nanos = formation_started.elapsed().as_nanos() as u64;
         if R::ENABLED {
+            let formation_nanos =
+                mains.formation_nanos + ideals.formation_nanos + turnstiles.formation_nanos;
             recorder.span(0, Span::CohortFormation, formation_nanos);
         }
-        let edge_members = cohort.len();
-        let dyn_members = dyn_cohort.len();
-        // An all-ideal cohort runs only the 3 oracle passes; its report
-        // rows carry the ideal pass names instead of the six-pass ones.
-        let ideal_only = !cohort.ideals.is_empty() && edge_members == cohort.ideals.len();
-        let cohort_copies = cohort_of.len();
-        let any_cohort = cohort_copies > 0;
+        let cohort_copies = mains.joined.len() + ideals.joined.len() + turnstiles.joined.len();
+        let fused_cohorts = [
+            mains.joined.len(),
+            ideals.joined.len(),
+            turnstiles.joined.len(),
+        ]
+        .iter()
+        .filter(|&&n| n > 0)
+        .count();
 
-        let workers = self.config.effective_workers(tasks.len());
-
-        // Intra-copy shard plan for the per-copy tier: when the pool is
-        // wider than the task list *and no cohort shares it*, split each
-        // shardable copy's passes across the spare workers instead of
-        // leaving them idle. With a cohort on the queue the spare capacity
-        // already has sweep shards to claim — nesting a second pool under
-        // each task would only oversubscribe the machine.
-        // Turnstile tasks on an edge snapshot always run unsharded (the
-        // sharded dynamic view lives on the update-snapshot path), so they
-        // are excluded from the shard plan.
-        let shardable = tasks.iter().any(|task| {
-            !matches!(task, Task::DynamicCopy { .. })
-                && jobs[task.job()].kind.supports_intra_task_sharding()
-        });
-        let shard_workers =
-            if self.config.intra_task_sharding && shardable && !tasks.is_empty() && !any_cohort {
-                (self.config.workers / tasks.len()).max(1)
-            } else {
-                1
-            };
-        let sharded_view: Option<ShardedStream<'_>> = (shard_workers > 1)
-            .then(|| ShardedStream::new(num_vertices, edges, shard_workers * SHARDS_PER_WORKER));
-        let intra_task_workers = if sharded_view.is_some() {
-            shard_workers
-        } else {
-            1
-        };
-
-        // The fault-injection key of one per-copy task: the task's
-        // per-copy seed for estimator copies (the same key that addresses
-        // the copy on the fused tier), the job index for baselines.
-        let task_fault_key = |task: &Task| match *task {
-            Task::MainCopy { job, copy } | Task::IdealCopy { job, copy } => {
-                let seed = configs[job].map(|c| c.seed).unwrap_or_default();
-                main_copy_seed(seed, copy)
-            }
-            Task::DynamicCopy { job, copy } => {
-                let seed = dyn_configs[job].map(|c| c.seed).unwrap_or_default();
-                dynamic_copy_seed(seed, copy)
-            }
-            Task::Baseline { job } => job as u64,
-        };
-
-        // One per-copy task body, shared by every pool worker; panics are
-        // caught at the queue-job layer below.
-        let run_task = |i: usize| -> (TaskOutput, Duration) {
+        // One baseline task body, shared by every pool worker; panics are
+        // caught at the queue-job layer below. The task-start fault key is
+        // the job index — a baseline has no copy seed.
+        let run_baseline = |i: usize| -> (Result<BaselineOutcome>, Duration) {
             let task_started = Instant::now();
-            let job = tasks[i].job();
-            // Cut checks before any work: cancellation, then this
-            // job's deadline, then an injected task-start fault.
-            let cut = if cancel.is_cancelled() {
-                Some(EngineError::Cancelled {
-                    completed_passes: 0,
-                })
-            } else if deadline_at[job].is_some_and(|d| Instant::now() >= d) {
-                Some(EngineError::DeadlineExceeded {
-                    completed_passes: 0,
-                })
-            } else if faults::ENABLED
-                && faults::injected(faults::FaultSite::TaskStart, task_fault_key(&tasks[i]))
-            {
-                Some(match tasks[i] {
-                    Task::DynamicCopy { .. } => EngineError::Dynamic(DynamicError::Injected {
-                        site: faults::FaultSite::TaskStart,
-                    }),
-                    _ => EngineError::Estimator(EstimatorError::Injected {
-                        site: faults::FaultSite::TaskStart,
-                    }),
-                })
-            } else {
-                None
+            let job = baselines[i];
+            let JobKind::Baseline(counter) = &jobs[job].kind else {
+                unreachable!("baseline tasks run baseline jobs");
             };
-            if let Some(error) = cut {
-                return (TaskOutput::Cut(error), task_started.elapsed());
-            }
-            let output = match tasks[i] {
-                Task::MainCopy { job, copy } => {
-                    let config = configs[job].expect("main job has a config");
-                    let result = match &sharded_view {
-                        Some(view) => {
-                            run_main_copy_sharded(view, config, copy, batch, intra_task_workers)
-                        }
-                        None => run_main_copy_with(&plain, config, copy, batch),
-                    };
-                    TaskOutput::Copy(result.map(|o| CopyContribution::from(&o)))
-                }
-                Task::IdealCopy { job, copy } => {
-                    let config = configs[job].expect("ideal job has a config");
-                    // Copies share the degree table by reference; StreamStats
-                    // answers degree queries directly.
-                    let stats = ideal_stats.as_ref().expect("stats built for ideal jobs");
-                    let result = match &sharded_view {
-                        Some(view) => run_ideal_copy_sharded(
-                            view,
-                            stats,
-                            config,
-                            copy,
-                            batch,
-                            intra_task_workers,
-                        ),
-                        None => run_ideal_copy_with(&plain, stats, config, copy, batch),
-                    };
-                    TaskOutput::Copy(result.map(|o| CopyContribution::from(&o)))
-                }
-                Task::DynamicCopy { job, copy } => {
-                    let config = dyn_configs[job].expect("dynamic job has a config");
-                    TaskOutput::Dynamic(run_dynamic_copy_with(&dyn_plain, config, copy, batch))
-                }
-                Task::Baseline { job } => {
-                    let JobKind::Baseline(counter) = &jobs[job].kind else {
-                        unreachable!("task kind matches job kind");
-                    };
-                    TaskOutput::Baseline(counter.estimate(&plain))
-                }
-            };
+            let result = start_checks(
+                &cancel,
+                deadline_at[job],
+                job as u64,
+                estimator_task_start_error,
+            )
+            .map(|()| counter.estimate(&plain));
             let spent = task_started.elapsed();
-            if R::ENABLED {
+            if R::ENABLED && result.is_ok() {
                 let nanos = spent.as_nanos() as u64;
                 recorder.span(i, Span::PerCopyTask, nanos);
                 recorder.observe(i, Hist::TaskNanos, nanos);
             }
-            (output, spent)
+            (result, spent)
         };
 
-        // ---- One pool, both tiers ------------------------------------------
-        // Per-copy tasks queue up as coarse jobs; the cohort drivers then
-        // run on the coordinator with the queue scope as their sweep pool,
-        // so fused shard bursts cut to the front of the same queue and
-        // interleave with straggler per-copy tasks instead of the two
-        // tiers draining as serialized phases. Panic containment is
-        // preserved: a panicking task parks `Err(payload)` in its slot and
-        // the claiming worker survives.
-        let (cohort_workers, cohort_shards) = self.cohort_parallelism();
-        let pool_workers = if any_cohort {
-            workers.max(cohort_workers)
+        // ---- One pool: queued baselines, then the cohorts --------------
+        // Baselines queue up as coarse jobs; the cohorts then run on the
+        // coordinator with the queue scope as their sweep pool, so sweep
+        // shards cut to the front of the same queue and interleave with
+        // straggler baselines. Panic containment is preserved: a
+        // panicking baseline parks `Err(payload)` in its slot and the
+        // claiming worker survives.
+        let cohort_workers = self.config.workers.max(1);
+        let cohort_shards = cohort_workers * SHARDS_PER_WORKER;
+        let pool_workers = if cohort_copies > 0 {
+            cohort_workers
         } else {
-            workers.max(1)
+            self.config.effective_workers(baselines.len())
         };
-        let task_slots: Vec<TaskSlot<TaskOutput>> =
-            tasks.iter().map(|_| Mutex::new(None)).collect();
-        let mut trace: Vec<PassTrace> = Vec::new();
-        let mut dyn_trace: Vec<PassTrace> = Vec::new();
-        let (cohort_outcome, dyn_outcome) = run_queued(pool_workers, |scope| {
-            for i in 0..tasks.len() {
-                let slots = &task_slots;
-                let run_task = &run_task;
+        let slots: Vec<BaselineSlot> = baselines.iter().map(|_| Mutex::new(None)).collect();
+        run_queued(pool_workers, |scope| {
+            for i in 0..baselines.len() {
+                let slots = &slots;
+                let run_baseline = &run_baseline;
                 scope.submit(Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| run_task(i)));
+                    let result = catch_unwind(AssertUnwindSafe(|| run_baseline(i)));
                     *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
                 }));
             }
-            let cohort_outcome = drive_edge_cohort(
-                &mut cohort,
-                &cancel,
-                num_vertices,
-                edges,
-                batch,
-                cohort_workers,
-                cohort_shards,
-                recorder,
-                0,
-                &mut trace,
-                scope,
-            );
-            let dyn_outcome: CohortOutcome = drive_cohort(
-                &mut dyn_cohort,
-                &mut dyn_meta,
-                &cancel,
-                num_vertices,
-                &dyn_updates,
-                batch,
-                cohort_workers,
-                cohort_shards,
-                recorder,
-                0,
-                &mut dyn_trace,
-                scope,
-            );
-            (cohort_outcome, dyn_outcome)
+            let (n, w, s) = (num_vertices, cohort_workers, cohort_shards);
+            mains.drive(&cancel, n, edges, batch, w, s, recorder, scope);
+            ideals.drive(&cancel, n, edges, batch, w, s, recorder, scope);
+            turnstiles.drive(&cancel, n, updates, batch, w, s, recorder, scope);
         });
-        let outputs: Vec<std::thread::Result<(TaskOutput, Duration)>> = task_slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("run_queued drained every submitted task")
-            })
-            .collect();
-        let fused_sweeps = cohort_outcome.sweeps + dyn_outcome.sweeps;
-        let fused_busy = Duration::from_nanos(cohort_outcome.busy_nanos + dyn_outcome.busy_nanos);
-        let copies_evicted = cohort_outcome.evicted + dyn_outcome.evicted;
-        for (group, error) in cohort_outcome
-            .failures
-            .into_iter()
-            .chain(dyn_outcome.failures)
-        {
-            fail_job(&mut job_errors, group, error);
-        }
-        // Copy-level evictions of contained members join the per-copy
-        // error set headed for the retry layer.
-        for (group, copy, error) in cohort_outcome
-            .copy_failures
-            .into_iter()
-            .chain(dyn_outcome.copy_failures)
-        {
-            copy_errors[group].push((copy, error));
-        }
 
-        // Fold-loop tallies summed over the fused six-pass and turnstile
-        // copies, gathered before the stage objects are consumed below.
-        let cohort_tallies: Vec<PassTally> = if R::ENABLED && !cohort.mains.is_empty() {
-            let mut tallies = vec![PassTally::default(); MainCopyStages::PASS_NAMES.len()];
-            for stages in &cohort.mains {
-                for (total, &tally) in tallies.iter_mut().zip(stages.pass_tallies()) {
-                    total.merge(tally);
-                }
-            }
-            tallies
-        } else {
-            Vec::new()
-        };
-        let dyn_tallies: Vec<PassTally> = if R::ENABLED && !dyn_cohort.is_empty() {
-            let mut tallies = vec![PassTally::default(); DynamicCopyStages::PASS_NAMES.len()];
-            for stages in &dyn_cohort {
-                for (total, &tally) in tallies.iter_mut().zip(stages.pass_tallies()) {
-                    total.merge(tally);
-                }
-            }
-            tallies
-        } else {
-            Vec::new()
-        };
-
-        // Fold everything back per job. Contributions are keyed by copy
-        // index so both tiers' copies aggregate in copy order regardless
-        // of which tier (or in what interleaving the shared pool) executed
-        // them.
-        let mut contributions: Vec<Vec<(usize, CopyContribution)>> =
-            jobs.iter().map(|_| Vec::new()).collect();
-        let mut dyn_contributions: Vec<Vec<(usize, DynamicCopyOutcome)>> =
-            jobs.iter().map(|_| Vec::new()).collect();
-        let mut baseline_outcomes: Vec<Option<degentri_baselines::BaselineOutcome>> =
-            jobs.iter().map(|_| None).collect();
-        let mut busy_per_job: Vec<Duration> = vec![Duration::ZERO; jobs.len()];
-        let mut tasks_per_job: Vec<usize> = vec![0; jobs.len()];
-        // The serial degree-table pass is work this run performed: it
-        // belongs in busy time just as its edges are in `edges_streamed`.
-        let mut busy_total = stats_pass;
-        let mut sweeps = if ideal_stats.is_some() { 1u64 } else { 0 };
-        for (i, (task, caught)) in tasks.iter().zip(outputs).enumerate() {
-            let job = task.job();
-            tasks_per_job[job] += 1;
-            let copy = match *task {
-                Task::MainCopy { copy, .. }
-                | Task::IdealCopy { copy, .. }
-                | Task::DynamicCopy { copy, .. } => copy,
-                Task::Baseline { .. } => 0,
-            };
+        // ---- Fold everything back per job -------------------------------
+        let mut ledger = Ledger::new(jobs.len());
+        let mut sweeps = u64::from(ideal_stats.is_some());
+        for (i, slot) in slots.into_iter().enumerate() {
+            let job = baselines[i];
+            ledger.tasks[job] += 1;
+            let caught = slot
+                .into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("run_queued drained every submitted task");
             match caught {
-                // The task panicked; its worker survived and its payload
-                // fails only this copy's job (or, for contained jobs, only
-                // this copy).
-                Err(payload) => fail_copy(
-                    &contained,
-                    &mut job_errors,
-                    &mut copy_errors,
+                // The baseline panicked; its worker survived and its
+                // payload fails only this job.
+                Err(payload) => fail_job(
+                    &mut ledger.job_errors,
                     job,
-                    copy,
                     EngineError::panicked(i, payload),
                 ),
-                Ok((output, spent)) => {
-                    busy_per_job[job] += spent;
+                Ok((result, spent)) => {
+                    ledger.busy[job] += spent;
                     busy_total += spent;
-                    match output {
-                        TaskOutput::Copy(Ok(contribution)) => {
-                            sweeps += contribution.passes as u64;
-                            contributions[job].push((copy, contribution));
-                        }
-                        TaskOutput::Copy(Err(e)) => fail_copy(
-                            &contained,
-                            &mut job_errors,
-                            &mut copy_errors,
-                            job,
-                            copy,
-                            e.into(),
-                        ),
-                        TaskOutput::Dynamic(Ok(outcome)) => {
-                            // Every per-copy turnstile run makes four passes.
-                            sweeps += DynamicCopyStages::PASSES as u64;
-                            dyn_contributions[job].push((copy, outcome));
-                        }
-                        TaskOutput::Dynamic(Err(e)) => fail_copy(
-                            &contained,
-                            &mut job_errors,
-                            &mut copy_errors,
-                            job,
-                            copy,
-                            e.into(),
-                        ),
-                        TaskOutput::Baseline(outcome) => {
+                    match result {
+                        Ok(outcome) => {
                             sweeps += outcome.passes as u64;
-                            baseline_outcomes[job] = Some(outcome);
+                            ledger.baseline_outcomes[job] = Some(outcome);
                         }
-                        // Deadline/cancel cuts of contained jobs become
-                        // copy errors too: copies that completed earlier
-                        // survive, keeping a quorum reachable.
-                        TaskOutput::Cut(error) => fail_copy(
-                            &contained,
-                            &mut job_errors,
-                            &mut copy_errors,
-                            job,
-                            copy,
-                            error,
-                        ),
+                        Err(error) => fail_job(&mut ledger.job_errors, job, error),
                     }
                 }
             }
         }
-        // Fused sweeps and busy time are *measured* by the drivers (shard
+        // Cohort sweeps and busy time are *measured* by the driver (shard
         // nanos summed over every shared sweep), not allocated from wall
         // time: the per-tier attribution in the stats below is only useful
         // if the split is real.
-        sweeps += fused_sweeps;
-        busy_total += fused_busy;
-        // Every fused copy started: its task count and pro-rata busy share
-        // are attributed whether or not containment later evicted it (the
-        // sweeps are shared — per-copy busy is not separable).
-        for &(job, _copy) in &cohort_of {
-            tasks_per_job[job] += 1;
-            busy_per_job[job] += fused_busy.div_f64(cohort_copies.max(1) as f64);
-        }
-        // The cohorts hold the eviction survivors, in original order.
-        let EdgeCohort {
-            mains,
-            main_meta,
-            ideals,
-            ideal_meta,
-        } = cohort;
-        finish_members(
-            mains,
-            &main_meta,
-            &mut job_errors,
-            &mut copy_errors,
-            &mut contributions,
-            |s| {
-                s.finish()
-                    .map(|o| CopyContribution::from(&o))
-                    .map_err(EngineError::from)
-            },
-        );
-        finish_members(
-            ideals,
-            &ideal_meta,
-            &mut job_errors,
-            &mut copy_errors,
-            &mut contributions,
-            |s| {
-                s.finish()
-                    .map(|o| CopyContribution::from(&o))
-                    .map_err(EngineError::from)
-            },
-        );
-        finish_members(
-            dyn_cohort,
-            &dyn_meta,
-            &mut job_errors,
-            &mut copy_errors,
-            &mut dyn_contributions,
-            |s| s.finish().map_err(EngineError::from),
-        );
+        let mut driver = DriverTotals::default();
+        let (w, s) = (cohort_workers, cohort_shards);
+        let cohort_reports: Vec<CohortReport> = [
+            mains.settle(&mut ledger, &mut driver, R::ENABLED, w, s),
+            ideals.settle(&mut ledger, &mut driver, R::ENABLED, w, s),
+            turnstiles.settle(&mut ledger, &mut driver, R::ENABLED, w, s),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        let copies_evicted = driver.evicted;
 
-        // ---- Deterministic retries ------------------------------------------
-        // Failed copies of retry-enabled jobs re-run on the coordinator,
-        // unsharded. Position-keyed seeds make each re-execution
-        // bit-identical to the copy never having failed, on any tier and
-        // any worker count; only wall-clock time (and the sweep count)
-        // grows. Retried attempts probe the same fault sites as fresh
-        // per-copy tasks, so transient `FaultKind::FailTimes` windows heal
-        // exactly as they would for an independent task.
+        // ---- Deterministic retries --------------------------------------
+        // Failed copies of retry-enabled jobs are rebuilt and re-driven as
+        // one-member cohorts on the coordinator. Position-keyed seeds make
+        // each re-execution bit-identical to the copy never having failed,
+        // at any worker count; only wall-clock time (and the sweep count)
+        // grows. Evictions inside a retry attempt count as retries, not
+        // as cohort evictions.
         let mut retry_tally = RetryTally::default();
-        if copy_errors.iter().any(|e| !e.is_empty()) {
+        if ledger.copy_errors.iter().any(|e| !e.is_empty()) {
             retry_failed_copies(
                 &retry_of,
                 &deadline_at,
                 &cancel,
-                &job_errors,
-                &mut copy_errors,
+                &ledger.job_errors,
+                &mut ledger.copy_errors,
                 &mut retry_tally,
                 |job, copy| {
                     let attempt_started = Instant::now();
-                    // Same cut checks as a fresh per-copy task.
-                    if cancel.is_cancelled() {
-                        return Err(EngineError::Cancelled {
-                            completed_passes: 0,
-                        });
-                    }
-                    if deadline_at[job].is_some_and(|d| Instant::now() >= d) {
-                        return Err(EngineError::DeadlineExceeded {
-                            completed_passes: 0,
-                        });
-                    }
-                    if faults::ENABLED {
-                        let key = match &jobs[job].kind {
-                            JobKind::Dynamic(_) => {
-                                let seed = dyn_configs[job].map(|c| c.seed).unwrap_or_default();
-                                dynamic_copy_seed(seed, copy)
-                            }
-                            _ => {
-                                let seed = configs[job].map(|c| c.seed).unwrap_or_default();
-                                main_copy_seed(seed, copy)
-                            }
-                        };
-                        if faults::injected(faults::FaultSite::TaskStart, key) {
-                            return Err(match &jobs[job].kind {
-                                JobKind::Dynamic(_) => {
-                                    EngineError::Dynamic(DynamicError::Injected {
-                                        site: faults::FaultSite::TaskStart,
-                                    })
-                                }
-                                _ => EngineError::Estimator(EstimatorError::Injected {
-                                    site: faults::FaultSite::TaskStart,
-                                }),
-                            });
+                    let (n, sweeps) = (num_vertices, &mut driver.sweeps);
+                    let result = match jobs[job].kind {
+                        JobKind::Main(_) => {
+                            retry_copy(members.main(job, copy), &cancel, n, edges, batch, sweeps)
+                                .map(|c| ledger.contributions[job].push((copy, c)))
                         }
-                    }
-                    enum Retried {
-                        Copy(CopyContribution),
-                        Dynamic(DynamicCopyOutcome),
-                    }
-                    let caught = catch_unwind(AssertUnwindSafe(|| match &jobs[job].kind {
-                        JobKind::Main(config) => run_main_copy_with(&plain, config, copy, batch)
-                            .map(|o| Retried::Copy(CopyContribution::from(&o)))
-                            .map_err(EngineError::from),
-                        JobKind::Ideal(config) => {
-                            let stats = ideal_stats.as_ref().expect("stats built for ideal jobs");
-                            run_ideal_copy_with(&plain, stats, config, copy, batch)
-                                .map(|o| Retried::Copy(CopyContribution::from(&o)))
-                                .map_err(EngineError::from)
+                        JobKind::Ideal(_) => {
+                            retry_copy(members.ideal(job, copy), &cancel, n, edges, batch, sweeps)
+                                .map(|c| ledger.contributions[job].push((copy, c)))
                         }
-                        JobKind::Dynamic(config) => {
-                            run_dynamic_copy_with(&dyn_plain, config, copy, batch)
-                                .map(Retried::Dynamic)
-                                .map_err(EngineError::from)
-                        }
-                        // Baselines are never contained, so their copies
-                        // never reach the retry layer.
-                        JobKind::Baseline(_) => unreachable!("baseline copies are never retried"),
-                    }));
+                        JobKind::Dynamic(_) => retry_copy(
+                            members.dynamic(job, copy),
+                            &cancel,
+                            n,
+                            updates,
+                            batch,
+                            sweeps,
+                        )
+                        .map(|c| ledger.dyn_contributions[job].push((copy, c))),
+                        // Baselines are never contained, so they never
+                        // reach the retry layer.
+                        JobKind::Baseline(_) => unreachable!("baselines are never retried"),
+                    };
                     let spent = attempt_started.elapsed();
-                    busy_per_job[job] += spent;
-                    busy_total += spent;
-                    match caught {
-                        Err(payload) => Err(EngineError::panicked(copy, payload)),
-                        Ok(Err(e)) => Err(e),
-                        Ok(Ok(Retried::Copy(contribution))) => {
-                            sweeps += contribution.passes as u64;
-                            contributions[job].push((copy, contribution));
-                            Ok(())
-                        }
-                        Ok(Ok(Retried::Dynamic(outcome))) => {
-                            sweeps += DynamicCopyStages::PASSES as u64;
-                            dyn_contributions[job].push((copy, outcome));
-                            Ok(())
-                        }
-                    }
+                    ledger.busy[job] += spent;
+                    driver.busy += spent;
+                    result
                 },
             );
         }
         let wall = started.elapsed();
+        sweeps += driver.sweeps;
+        busy_total += driver.busy;
 
         let mut jobs_degraded = 0usize;
         let results: Vec<JobResult> = jobs
@@ -1148,14 +1121,14 @@ impl Engine {
                 // Unrecovered copy errors, in copy order (each copy's
                 // first error — a retried copy that keeps failing reports
                 // its quarantining error).
-                let mut errors = std::mem::take(&mut copy_errors[job]);
+                let mut errors = std::mem::take(&mut ledger.copy_errors[job]);
                 errors.sort_by_key(|&(copy, _)| copy);
-                let outcome = match job_errors[job].take() {
+                let outcome = match ledger.job_errors[job].take() {
                     Some(error) => Err(error),
                     None => {
                         let survivors = match &spec.kind {
-                            JobKind::Main(_) | JobKind::Ideal(_) => contributions[job].len(),
-                            JobKind::Dynamic(_) => dyn_contributions[job].len(),
+                            JobKind::Main(_) | JobKind::Ideal(_) => ledger.contributions[job].len(),
+                            JobKind::Dynamic(_) => ledger.dyn_contributions[job].len(),
                             JobKind::Baseline(_) => 1,
                         };
                         // Quorum check: a job with unrecovered copy errors
@@ -1180,15 +1153,15 @@ impl Engine {
                                     copy_errors: errors,
                                 })
                             };
+                            // Copies aggregate in copy order regardless of
+                            // when (first run or retry) they finished; a
+                            // degraded job aggregates exactly its
+                            // surviving copies.
                             Ok(match &spec.kind {
                                 JobKind::Main(_) | JobKind::Ideal(_) => {
-                                    // Copies aggregate in copy order
-                                    // regardless of which tier executed
-                                    // them; a degraded job aggregates
-                                    // exactly its surviving copies.
-                                    contributions[job].sort_by_key(|&(copy, _)| copy);
+                                    ledger.contributions[job].sort_by_key(|&(copy, _)| copy);
                                     let copies: Vec<CopyContribution> =
-                                        contributions[job].iter().map(|&(_, c)| c).collect();
+                                        ledger.contributions[job].iter().map(|&(_, c)| c).collect();
                                     JobOutput {
                                         estimation: degentri_core::aggregate_copies(&copies),
                                         dynamic: None,
@@ -1197,7 +1170,7 @@ impl Engine {
                                 }
                                 JobKind::Baseline(_) => JobOutput {
                                     estimation: baseline_estimation(
-                                        baseline_outcomes[job]
+                                        ledger.baseline_outcomes[job]
                                             .as_ref()
                                             .expect("baseline task completed"),
                                     ),
@@ -1205,9 +1178,12 @@ impl Engine {
                                     degraded,
                                 },
                                 JobKind::Dynamic(_) => {
-                                    dyn_contributions[job].sort_by_key(|&(copy, _)| copy);
-                                    let copies: Vec<DynamicCopyOutcome> =
-                                        dyn_contributions[job].iter().map(|&(_, c)| c).collect();
+                                    ledger.dyn_contributions[job].sort_by_key(|&(copy, _)| copy);
+                                    let copies: Vec<DynamicCopyOutcome> = ledger.dyn_contributions
+                                        [job]
+                                        .iter()
+                                        .map(|&(_, c)| c)
+                                        .collect();
                                     let outcome = aggregate_dynamic_copies(&copies);
                                     JobOutput {
                                         estimation: dynamic_estimation(&outcome),
@@ -1222,8 +1198,8 @@ impl Engine {
                 JobResult {
                     label: spec.label.clone(),
                     outcome,
-                    busy: busy_per_job[job],
-                    tasks: tasks_per_job[job],
+                    busy: ledger.busy[job],
+                    tasks: ledger.tasks[job],
                 }
             })
             .collect();
@@ -1238,551 +1214,40 @@ impl Engine {
         };
 
         let tiers = TierTotals {
-            fused_sweeps,
-            per_copy_sweeps: sweeps - fused_sweeps,
-            fused_busy,
-            per_copy_busy: busy_total.saturating_sub(fused_busy),
+            fused_sweeps: driver.sweeps,
+            per_copy_sweeps: sweeps - driver.sweeps,
+            fused_busy: driver.busy,
+            per_copy_busy: busy_total.saturating_sub(driver.busy),
         };
-        let run_report = if R::ENABLED {
-            let mut cohorts: Vec<CohortReport> = Vec::new();
-            if edge_members > 0 {
-                cohorts.push(CohortReport {
-                    label: if ideal_only { "three-pass" } else { "six-pass" }.to_string(),
-                    copies: edge_members,
-                    workers: cohort_workers,
-                    shards: cohort_shards,
-                    formation_nanos,
-                    passes: if ideal_only {
-                        pass_reports(
-                            &trace,
-                            &IdealCopyStages::<StreamStats>::PASS_NAMES,
-                            &cohort_tallies,
-                        )
-                    } else {
-                        pass_reports(&trace, &MainCopyStages::PASS_NAMES, &cohort_tallies)
-                    },
-                });
-            }
-            if dyn_members > 0 {
-                cohorts.push(CohortReport {
-                    label: "turnstile".to_string(),
-                    copies: dyn_members,
-                    workers: cohort_workers,
-                    shards: cohort_shards,
-                    formation_nanos: if edge_members > 0 { 0 } else { formation_nanos },
-                    passes: pass_reports(&dyn_trace, &DynamicCopyStages::PASS_NAMES, &dyn_tallies),
-                });
-            }
-            Some(assemble_run_report(
+        let run_report = R::ENABLED.then(|| {
+            assemble_run_report(
                 recorder,
                 wall,
                 pool_workers,
-                cohorts,
+                cohort_reports,
                 &jobs,
                 &submitted,
-                &tasks_per_job,
-                &busy_per_job,
+                &ledger.tasks,
+                &ledger.busy,
                 cohort_copies,
                 &recovery,
                 faults::injected_count().saturating_sub(faults_before),
                 &tiers,
-            ))
-        } else {
-            None
-        };
-
-        Ok(EngineReport {
-            jobs: results,
-            stats: EngineStats::from_run(
-                pool_workers,
-                intra_task_workers.max(if fused_sweeps > 0 { cohort_workers } else { 1 }),
-                tasks.len() + cohort_copies,
-                usize::from(edge_members > 0) + usize::from(dyn_members > 0),
-                sweeps,
-                tiers.fused_sweeps,
-                wall,
-                busy_total,
-                tiers.fused_busy,
-                m as u64,
-                recovery,
-            ),
-            run_report,
-        })
-    }
-
-    /// The update-snapshot twin of [`Engine::run_edges`]'s recording
-    /// dispatch.
-    fn run_updates(&mut self, num_vertices: usize, updates: &[EdgeUpdate]) -> Result<EngineReport> {
-        if self.config.recording {
-            let recorder = MetricsRecorder::new(self.config.workers.max(1) * SHARDS_PER_WORKER);
-            self.run_updates_rec(num_vertices, updates, &recorder)
-        } else {
-            self.run_updates_rec(num_vertices, updates, &NoopRecorder)
-        }
-    }
-
-    fn run_updates_rec<R: Recorder>(
-        &mut self,
-        num_vertices: usize,
-        updates: &[EdgeUpdate],
-        recorder: &R,
-    ) -> Result<EngineReport> {
-        let jobs: Vec<JobSpec> = self.jobs.drain(..).collect();
-        let submitted: Vec<Instant> = self.submitted.drain(..).collect();
-
-        // Reject invalid configurations before any work starts.
-        self.config.validate()?;
-        // Each job's turnstile configuration.
-        let mut configs: Vec<&DynamicEstimatorConfig> = Vec::with_capacity(jobs.len());
-        for spec in &jobs {
-            let JobKind::Dynamic(config) = &spec.kind else {
-                return Err(EngineError::unsupported_job(format!(
-                    "job '{}' is not a turnstile job; run it over an edge \
-                     snapshot (Engine::run or Snapshot::Edges)",
-                    spec.label
-                )));
-            };
-            config.validate().map_err(EngineError::from)?;
-            configs.push(config);
-        }
-        if !jobs.is_empty() && updates.is_empty() {
-            return Err(EngineError::Dynamic(DynamicError::EmptyStream));
-        }
-        if self.config.validate_input {
-            validate_updates(num_vertices, updates).map_err(EngineError::from)?;
-        }
-        let batch = self.config.batch_size;
-        let started = Instant::now();
-        let faults_before = faults::injected_count();
-        let cancel = self.cancel.clone();
-        // Absolute per-job deadlines, measured from run start.
-        let deadline_at: Vec<Option<Instant>> = jobs
-            .iter()
-            .map(|spec| spec.deadline.map(|limit| started + limit))
-            .collect();
-        // First contained error per job; `None` = still healthy.
-        let mut job_errors: Vec<Option<EngineError>> = vec![None; jobs.len()];
-        // Per-job recovery plumbing, mirroring the edge scheduler (every
-        // job here is a turnstile job, so only the retry/quorum opt-in
-        // matters).
-        let retry_of: Vec<Option<RetryPolicy>> = jobs
-            .iter()
-            .map(|spec| spec.retry.or(self.config.retry_policy))
-            .collect();
-        for policy in retry_of.iter().flatten() {
-            if policy.max_attempts == 0 {
-                return Err(EngineError::invalid_config(
-                    "retry.max_attempts must be at least 1",
-                ));
-            }
-        }
-        let contained: Vec<bool> = jobs
-            .iter()
-            .enumerate()
-            .map(|(job, spec)| retry_of[job].is_some() || spec.quorum.allow_degraded)
-            .collect();
-        let mut copy_errors: Vec<Vec<(usize, EngineError)>> =
-            jobs.iter().map(|_| Vec::new()).collect();
-
-        // Tier split: with fusion enabled every copy joins one cohort;
-        // otherwise copies run as per-copy tasks.
-        let fusion = self.fusion_enabled();
-        let formation_started = Instant::now();
-        let mut cohort: Vec<DynamicCopyStages> = Vec::new();
-        let mut cohort_of: Vec<(usize, usize)> = Vec::new();
-        let mut meta: Vec<CohortMemberMeta> = Vec::new();
-        let mut tasks: Vec<(usize, usize)> = Vec::new();
-        for (job, spec) in jobs.iter().enumerate() {
-            for copy in 0..spec.kind.task_count() {
-                if fusion {
-                    cohort.push(
-                        DynamicCopyStages::new(
-                            configs[job],
-                            updates.len(),
-                            num_vertices,
-                            dynamic_copy_seed(configs[job].seed, copy),
-                        )
-                        .map_err(EngineError::from)?,
-                    );
-                    cohort_of.push((job, copy));
-                    meta.push(CohortMemberMeta {
-                        group: job,
-                        copy,
-                        deadline: deadline_at[job],
-                        fault_key: dynamic_copy_seed(configs[job].seed, copy),
-                        contained: contained[job],
-                    });
-                } else {
-                    tasks.push((job, copy));
-                }
-            }
-        }
-        let formation_nanos = formation_started.elapsed().as_nanos() as u64;
-        if R::ENABLED {
-            recorder.span(0, Span::CohortFormation, formation_nanos);
-        }
-
-        let plain = ShardedDynamicStream::new(num_vertices, updates, 1);
-        let cohort_copies = cohort.len();
-        let any_cohort = cohort_copies > 0;
-        let workers = self.config.effective_workers(tasks.len());
-
-        // Intra-copy shard plan for the per-copy tier, mirroring the edge
-        // scheduler (including its rule that a cohort on the shared queue
-        // suppresses nested per-task pools). Every turnstile copy shards.
-        let shard_workers = if self.config.intra_task_sharding && !tasks.is_empty() && !any_cohort {
-            (self.config.workers / tasks.len()).max(1)
-        } else {
-            1
-        };
-        let sharded_view: Option<ShardedDynamicStream<'_>> = (shard_workers > 1).then(|| {
-            ShardedDynamicStream::new(num_vertices, updates, shard_workers * SHARDS_PER_WORKER)
-        });
-        let intra_task_workers = if sharded_view.is_some() {
-            shard_workers
-        } else {
-            1
-        };
-
-        // One per-copy task body, with the same cut checks as the edge
-        // scheduler; the fault key is the copy's dynamic per-copy seed.
-        let run_task = |i: usize| -> (DynTaskOutput, Duration) {
-            let (job, copy) = tasks[i];
-            let config = configs[job];
-            let task_started = Instant::now();
-            let cut = if cancel.is_cancelled() {
-                Some(EngineError::Cancelled {
-                    completed_passes: 0,
-                })
-            } else if deadline_at[job].is_some_and(|d| Instant::now() >= d) {
-                Some(EngineError::DeadlineExceeded {
-                    completed_passes: 0,
-                })
-            } else if faults::ENABLED
-                && faults::injected(
-                    faults::FaultSite::TaskStart,
-                    dynamic_copy_seed(config.seed, copy),
-                )
-            {
-                Some(EngineError::Dynamic(DynamicError::Injected {
-                    site: faults::FaultSite::TaskStart,
-                }))
-            } else {
-                None
-            };
-            if let Some(error) = cut {
-                return (DynTaskOutput::Cut(error), task_started.elapsed());
-            }
-            let output = match &sharded_view {
-                Some(view) => run_dynamic_copy_sharded(view, config, copy, batch, shard_workers),
-                None => run_dynamic_copy_with(&plain, config, copy, batch),
-            };
-            let spent = task_started.elapsed();
-            if R::ENABLED {
-                let nanos = spent.as_nanos() as u64;
-                recorder.span(i, Span::PerCopyTask, nanos);
-                recorder.observe(i, Hist::TaskNanos, nanos);
-            }
-            (DynTaskOutput::Copy(output), spent)
-        };
-
-        // ---- One pool, both tiers ------------------------------------------
-        // Identical overlap scheme to the edge scheduler: per-copy tasks
-        // queue as coarse jobs, the fused driver's sweep shards cut to the
-        // front of the same queue, panics park in per-task slots.
-        let (cohort_workers, cohort_shards) = self.cohort_parallelism();
-        let pool_workers = if any_cohort {
-            workers.max(cohort_workers)
-        } else {
-            workers.max(1)
-        };
-        let task_slots: Vec<TaskSlot<DynTaskOutput>> =
-            tasks.iter().map(|_| Mutex::new(None)).collect();
-        let mut trace: Vec<PassTrace> = Vec::new();
-        let cohort_outcome: CohortOutcome = run_queued(pool_workers, |scope| {
-            for i in 0..tasks.len() {
-                let slots = &task_slots;
-                let run_task = &run_task;
-                scope.submit(Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| run_task(i)));
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                }));
-            }
-            drive_cohort(
-                &mut cohort,
-                &mut meta,
-                &cancel,
-                num_vertices,
-                updates,
-                batch,
-                cohort_workers,
-                cohort_shards,
-                recorder,
-                0,
-                &mut trace,
-                scope,
             )
         });
-        let outputs: Vec<std::thread::Result<(DynTaskOutput, Duration)>> = task_slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("run_queued drained every submitted task")
-            })
-            .collect();
-        let fused_sweeps = cohort_outcome.sweeps;
-        let fused_busy = Duration::from_nanos(cohort_outcome.busy_nanos);
-        let copies_evicted = cohort_outcome.evicted;
-        for (group, error) in cohort_outcome.failures {
-            fail_job(&mut job_errors, group, error);
-        }
-        for (group, copy, error) in cohort_outcome.copy_failures {
-            copy_errors[group].push((copy, error));
-        }
-
-        // Fold-loop tallies summed over the cohort's copies, gathered
-        // before the stage objects are consumed below.
-        let cohort_tallies: Vec<PassTally> = if R::ENABLED && !cohort.is_empty() {
-            let mut tallies = vec![PassTally::default(); DynamicCopyStages::PASS_NAMES.len()];
-            for stages in &cohort {
-                for (total, &tally) in tallies.iter_mut().zip(stages.pass_tallies()) {
-                    total.merge(tally);
-                }
-            }
-            tallies
-        } else {
-            Vec::new()
-        };
-
-        // Fold copy outputs back per job, in deterministic task order.
-        let mut contributions: Vec<Vec<(usize, DynamicCopyOutcome)>> =
-            jobs.iter().map(|_| Vec::new()).collect();
-        let mut busy_per_job: Vec<Duration> = vec![Duration::ZERO; jobs.len()];
-        let mut tasks_per_job: Vec<usize> = vec![0; jobs.len()];
-        let mut busy_total = Duration::ZERO;
-        let mut sweeps = 0u64;
-        for (i, (&(job, copy), caught)) in tasks.iter().zip(outputs).enumerate() {
-            tasks_per_job[job] += 1;
-            match caught {
-                Err(payload) => fail_copy(
-                    &contained,
-                    &mut job_errors,
-                    &mut copy_errors,
-                    job,
-                    copy,
-                    EngineError::panicked(i, payload),
-                ),
-                Ok((output, spent)) => {
-                    busy_per_job[job] += spent;
-                    busy_total += spent;
-                    match output {
-                        DynTaskOutput::Copy(Ok(contribution)) => {
-                            // Every per-copy turnstile run makes four passes.
-                            sweeps += DynamicCopyStages::PASSES as u64;
-                            contributions[job].push((copy, contribution));
-                        }
-                        DynTaskOutput::Copy(Err(e)) => fail_copy(
-                            &contained,
-                            &mut job_errors,
-                            &mut copy_errors,
-                            job,
-                            copy,
-                            e.into(),
-                        ),
-                        DynTaskOutput::Cut(error) => fail_copy(
-                            &contained,
-                            &mut job_errors,
-                            &mut copy_errors,
-                            job,
-                            copy,
-                            error,
-                        ),
-                    }
-                }
-            }
-        }
-        sweeps += fused_sweeps;
-        // Measured fused busy time, as in the edge scheduler.
-        busy_total += fused_busy;
-        // Task/busy attribution covers every copy that started, evicted or
-        // not; `cohort`/`meta` below hold only the survivors.
-        for &(job, _copy) in &cohort_of {
-            tasks_per_job[job] += 1;
-            busy_per_job[job] += fused_busy.div_f64(cohort_copies.max(1) as f64);
-        }
-        finish_members(
-            cohort,
-            &meta,
-            &mut job_errors,
-            &mut copy_errors,
-            &mut contributions,
-            |s| s.finish().map_err(EngineError::from),
-        );
-
-        // ---- Deterministic retries ------------------------------------------
-        // Same layer as the edge scheduler: failed turnstile copies re-run
-        // on the coordinator, bit-identically by position-keyed seeds.
-        let mut retry_tally = RetryTally::default();
-        if copy_errors.iter().any(|e| !e.is_empty()) {
-            retry_failed_copies(
-                &retry_of,
-                &deadline_at,
-                &cancel,
-                &job_errors,
-                &mut copy_errors,
-                &mut retry_tally,
-                |job, copy| {
-                    let attempt_started = Instant::now();
-                    if cancel.is_cancelled() {
-                        return Err(EngineError::Cancelled {
-                            completed_passes: 0,
-                        });
-                    }
-                    if deadline_at[job].is_some_and(|d| Instant::now() >= d) {
-                        return Err(EngineError::DeadlineExceeded {
-                            completed_passes: 0,
-                        });
-                    }
-                    if faults::ENABLED
-                        && faults::injected(
-                            faults::FaultSite::TaskStart,
-                            dynamic_copy_seed(configs[job].seed, copy),
-                        )
-                    {
-                        return Err(EngineError::Dynamic(DynamicError::Injected {
-                            site: faults::FaultSite::TaskStart,
-                        }));
-                    }
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        run_dynamic_copy_with(&plain, configs[job], copy, batch)
-                    }));
-                    let spent = attempt_started.elapsed();
-                    busy_per_job[job] += spent;
-                    busy_total += spent;
-                    match caught {
-                        Err(payload) => Err(EngineError::panicked(copy, payload)),
-                        Ok(Err(e)) => Err(e.into()),
-                        Ok(Ok(outcome)) => {
-                            sweeps += DynamicCopyStages::PASSES as u64;
-                            contributions[job].push((copy, outcome));
-                            Ok(())
-                        }
-                    }
-                },
-            );
-        }
-        let wall = started.elapsed();
-
-        let mut jobs_degraded = 0usize;
-        let results: Vec<JobResult> = jobs
-            .iter()
-            .enumerate()
-            .map(|(job, spec)| {
-                let mut errors = std::mem::take(&mut copy_errors[job]);
-                errors.sort_by_key(|&(copy, _)| copy);
-                let outcome = match job_errors[job].take() {
-                    Some(error) => Err(error),
-                    None => {
-                        let survivors = contributions[job].len();
-                        if !(errors.is_empty()
-                            || (spec.quorum.allow_degraded
-                                && survivors >= spec.quorum.min_copies.max(1)))
-                        {
-                            Err(errors.remove(0).1)
-                        } else {
-                            let degraded = if errors.is_empty() {
-                                None
-                            } else {
-                                jobs_degraded += 1;
-                                Some(Degradation {
-                                    copies_used: survivors,
-                                    copies_lost: errors.len(),
-                                    copy_errors: errors,
-                                })
-                            };
-                            // Copies aggregate in copy order regardless of
-                            // which tier executed them; a degraded job
-                            // aggregates exactly its surviving copies.
-                            contributions[job].sort_by_key(|&(copy, _)| copy);
-                            let copies: Vec<DynamicCopyOutcome> =
-                                contributions[job].iter().map(|&(_, c)| c).collect();
-                            let outcome = aggregate_dynamic_copies(&copies);
-                            Ok(JobOutput {
-                                estimation: dynamic_estimation(&outcome),
-                                dynamic: Some(outcome),
-                                degraded,
-                            })
-                        }
-                    }
-                };
-                JobResult {
-                    label: spec.label.clone(),
-                    outcome,
-                    busy: busy_per_job[job],
-                    tasks: tasks_per_job[job],
-                }
-            })
-            .collect();
-        let jobs_failed = results.iter().filter(|r| !r.is_ok()).count();
-        let recovery = RecoveryTotals {
-            jobs_failed,
-            copies_evicted,
-            copies_retried: retry_tally.retried,
-            copies_quarantined: retry_tally.quarantined,
-            jobs_degraded,
-            retry_backoff: retry_tally.backoff,
-        };
-
-        let tiers = TierTotals {
-            fused_sweeps,
-            per_copy_sweeps: sweeps - fused_sweeps,
-            fused_busy,
-            per_copy_busy: busy_total.saturating_sub(fused_busy),
-        };
-        let run_report = if R::ENABLED {
-            let cohorts: Vec<CohortReport> = (cohort_copies > 0)
-                .then(|| CohortReport {
-                    label: "turnstile".to_string(),
-                    copies: cohort_copies,
-                    workers: cohort_workers,
-                    shards: cohort_shards,
-                    formation_nanos,
-                    passes: pass_reports(&trace, &DynamicCopyStages::PASS_NAMES, &cohort_tallies),
-                })
-                .into_iter()
-                .collect();
-            Some(assemble_run_report(
-                recorder,
-                wall,
-                pool_workers,
-                cohorts,
-                &jobs,
-                &submitted,
-                &tasks_per_job,
-                &busy_per_job,
-                cohort_copies,
-                &recovery,
-                faults::injected_count().saturating_sub(faults_before),
-                &tiers,
-            ))
-        } else {
-            None
-        };
 
         Ok(EngineReport {
             jobs: results,
             stats: EngineStats::from_run(
                 pool_workers,
-                intra_task_workers.max(if fused_sweeps > 0 { cohort_workers } else { 1 }),
-                tasks.len() + cohort_copies,
-                usize::from(cohort_copies > 0),
+                baselines.len() + cohort_copies,
+                fused_cohorts,
                 sweeps,
                 tiers.fused_sweeps,
                 wall,
                 busy_total,
                 tiers.fused_busy,
-                updates.len() as u64,
+                snapshot_len as u64,
                 recovery,
             ),
             run_report,
@@ -1790,50 +1255,9 @@ impl Engine {
     }
 }
 
-/// Consumes one cohort group's eviction survivors: finishes each member
-/// under panic containment, pushing its contribution (keyed by copy index)
-/// or failing its job with the first error — for
-/// [`contained`](CohortMemberMeta::contained) members, failing only the
-/// copy, so its siblings keep contributing toward a quorum.
-fn finish_members<C, T>(
-    copies: Vec<C>,
-    meta: &[CohortMemberMeta],
-    job_errors: &mut [Option<EngineError>],
-    copy_errors: &mut [Vec<(usize, EngineError)>],
-    out: &mut [Vec<(usize, T)>],
-    finish: impl Fn(C) -> Result<T>,
-) {
-    for (k, (stages, mm)) in copies.into_iter().zip(meta).enumerate() {
-        let job = mm.group;
-        if job_errors[job].is_some() {
-            continue;
-        }
-        // `AssertUnwindSafe`: a panicking finish tears only this copy,
-        // whose job (or copy) is failed here.
-        match catch_unwind(AssertUnwindSafe(|| finish(stages))) {
-            Ok(Ok(outcome)) => out[job].push((mm.copy, outcome)),
-            Ok(Err(e)) => {
-                if mm.contained {
-                    copy_errors[job].push((mm.copy, e));
-                } else {
-                    fail_job(job_errors, job, e);
-                }
-            }
-            Err(payload) => {
-                let error = EngineError::panicked(k, payload);
-                if mm.contained {
-                    copy_errors[job].push((mm.copy, error));
-                } else {
-                    fail_job(job_errors, job, error);
-                }
-            }
-        }
-    }
-}
-
-/// The run's sweep and busy totals split by execution tier: fused cohort
-/// sweeps (measured by the drivers) versus per-copy tasks plus the shared
-/// degree-table pass.
+/// The run's sweep and busy totals split by execution path: the cohort
+/// driver (cohorts and retried one-member cohorts, measured by the
+/// driver) versus the baselines plus the shared degree-table pass.
 struct TierTotals {
     fused_sweeps: u64,
     per_copy_sweeps: u64,
@@ -2010,7 +1434,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_execution_matches_per_copy_scheduling() {
+    fn engine_matches_the_standalone_runner_bit_for_bit() {
         let graph = degentri_gen::wheel(300).unwrap();
         let stream = MemoryStream::from_graph(&graph, StreamOrder::UniformRandom(3));
         let config = EstimatorConfig::builder()
@@ -2019,83 +1443,25 @@ mod tests {
             .copies(3)
             .seed(5)
             .build();
-        let mut engine = Engine::with_workers(1);
-        engine.submit(JobSpec::main("fused", config.clone()));
-        let fused = engine.run(&stream).unwrap();
-        assert_eq!(fused.stats.fused_cohorts, 1);
-        // Three copies of six passes in six shared sweeps.
-        assert_eq!(fused.stats.sweeps_executed, 6);
-        assert_eq!(fused.stats.edges_streamed, 6 * graph.num_edges() as u64);
-
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(1)
-                .fused_execution(false)
-                .try_build()
-                .unwrap(),
-        );
-        engine.submit(JobSpec::main("per-copy", config));
-        let per_copy = engine.run(&stream).unwrap();
-        assert_eq!(per_copy.stats.fused_cohorts, 0);
-        assert_eq!(per_copy.stats.sweeps_executed, 18);
-        assert_eq!(
-            fused.jobs[0].estimation().estimate.to_bits(),
-            per_copy.jobs[0].estimation().estimate.to_bits()
-        );
-        assert_eq!(
-            fused.jobs[0].estimation().copy_estimates,
-            per_copy.jobs[0].estimation().copy_estimates
-        );
-    }
-
-    #[test]
-    fn spare_workers_trigger_intra_copy_sharding() {
-        let graph = degentri_gen::wheel(300).unwrap();
-        let stream = MemoryStream::from_graph(&graph, StreamOrder::UniformRandom(3));
-        let config = EstimatorConfig::builder()
-            .kappa(3)
-            .triangle_lower_bound(299)
-            .copies(2)
-            .seed(5)
-            .build();
-        // 8 workers for 2 per-copy tasks (fusion off): 4 intra-copy shard
-        // workers each.
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(8)
-                .fused_execution(false)
-                .try_build()
-                .unwrap(),
-        );
-        engine.submit(JobSpec::main("sharded", config.clone()));
-        let sharded = engine.run(&stream).unwrap();
-        assert_eq!(sharded.stats.intra_task_workers, 4);
-
-        // Copy-only scheduling (sharding disabled) must be bit-identical.
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(8)
-                .fused_execution(false)
-                .intra_task_sharding(false)
-                .try_build()
-                .unwrap(),
-        );
-        engine.submit(JobSpec::main("copy-only", config.clone()));
-        let copy_only = engine.run(&stream).unwrap();
-        assert_eq!(copy_only.stats.intra_task_workers, 1);
-        assert_eq!(
-            sharded.jobs[0].estimation().estimate.to_bits(),
-            copy_only.jobs[0].estimation().estimate.to_bits()
-        );
-
-        // ... and so must the fused path, sharded or not.
-        let mut engine = Engine::with_workers(8);
-        engine.submit(JobSpec::main("fused", config));
-        let fused = engine.run(&stream).unwrap();
-        assert_eq!(fused.stats.fused_cohorts, 1);
-        assert_eq!(
-            fused.jobs[0].estimation().copy_estimates,
-            copy_only.jobs[0].estimation().copy_estimates
-        );
+        let standalone = degentri_core::estimate_triangles(&stream, &config).unwrap();
+        // One worker (unsharded sweeps) and eight (sharded sweeps).
+        for workers in [1, 8] {
+            let mut engine = Engine::with_workers(workers);
+            engine.submit(JobSpec::main("fused", config.clone()));
+            let fused = engine.run(&stream).unwrap();
+            assert_eq!(fused.stats.workers, workers);
+            assert_eq!(fused.stats.fused_cohorts, 1);
+            // Three copies of six passes in six shared sweeps.
+            assert_eq!(fused.stats.sweeps_executed, 6);
+            assert_eq!(fused.stats.edges_streamed, 6 * graph.num_edges() as u64);
+            assert_eq!(
+                fused.jobs[0].estimation().estimate.to_bits(),
+                standalone.estimate.to_bits()
+            );
+            assert_eq!(
+                fused.jobs[0].estimation().copy_estimates,
+                standalone.copy_estimates
+            );
+        }
     }
 }

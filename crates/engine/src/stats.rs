@@ -8,42 +8,40 @@ use std::time::Duration;
 pub struct EngineStats {
     /// Worker threads the run used.
     pub workers: usize,
-    /// Threads each shardable copy's shard-parallel passes ran on
-    /// (1 = copy-level parallelism only; > 1 = spare workers were folded
-    /// into intra-copy sharded passes).
-    pub intra_task_workers: usize,
     /// Tasks (estimator copies + baseline runs) executed.
     pub tasks: usize,
-    /// Fused cohorts the run executed (counter-mode copies grouped so each
-    /// pass stage is one shared snapshot sweep; 0 when everything ran
-    /// per-copy).
+    /// Fused cohorts the run executed: one per estimator kind with copies
+    /// in the batch (six-pass, ideal, turnstile), each pass stage one
+    /// shared snapshot sweep.
     pub fused_cohorts: usize,
-    /// Physical snapshot traversals the run performed: fused sweeps count
-    /// once per *cohort* pass, per-copy tasks once per copy pass. Always
+    /// Physical snapshot traversals the run performed: cohort sweeps count
+    /// once per *cohort* pass, baselines once per baseline pass. Always
     /// `edges_streamed / snapshot len`.
     pub sweeps_executed: u64,
-    /// Sweeps executed by fused cohort stages (one shared traversal serves
-    /// every cohort member). Subset of [`sweeps_executed`](Self::sweeps_executed).
+    /// Sweeps executed by the cohort driver — the cohorts plus any retried
+    /// one-member cohorts (one shared traversal serves every member).
+    /// Subset of [`sweeps_executed`](Self::sweeps_executed).
     pub fused_sweeps: u64,
-    /// Sweeps executed by per-copy tasks (including any shared stats pass):
-    /// `sweeps_executed - fused_sweeps`.
+    /// Sweeps outside the cohort driver: the baselines' passes and the
+    /// shared oracle stats pass. `sweeps_executed - fused_sweeps`.
     pub per_copy_sweeps: u64,
     /// Wall-clock time of the whole run in seconds.
     pub wall_seconds: f64,
-    /// Total CPU-busy seconds summed over all workers (per-copy tasks
-    /// count measured task time; fused cohorts count measured
-    /// shard-busy time summed over their sweep shards).
+    /// Total CPU-busy seconds summed over all workers (baselines count
+    /// measured task time; cohorts count measured shard-busy time summed
+    /// over their sweep shards, retries their attempt time).
     pub busy_seconds: f64,
-    /// Measured busy seconds attributable to fused cohort sweeps (summed
-    /// shard-busy time). Subset of [`busy_seconds`](Self::busy_seconds).
+    /// Measured busy seconds attributable to the cohort driver (summed
+    /// shard-busy time plus retry attempts). Subset of
+    /// [`busy_seconds`](Self::busy_seconds).
     pub fused_busy_seconds: f64,
-    /// Measured busy seconds attributable to per-copy task bodies:
+    /// Measured busy seconds outside the cohort driver (baselines and the
+    /// serial set-up before the cohorts form):
     /// `busy_seconds - fused_busy_seconds`.
     pub per_copy_busy_seconds: f64,
     /// Items the run physically streamed: `sweeps_executed × snapshot
-    /// len`. Per-copy tasks traverse the snapshot once per pass each;
-    /// fused cohorts traverse it once per *shared* pass stage, so a fused
-    /// 4-copy six-pass job contributes `6 × m`, not `24 × m`.
+    /// len`. Cohorts traverse the snapshot once per *shared* pass stage,
+    /// so a 4-copy six-pass job contributes `6 × m`, not `24 × m`.
     pub edges_streamed: u64,
     /// Streaming throughput: [`edges_streamed`](Self::edges_streamed)
     /// divided by wall time.
@@ -97,7 +95,6 @@ impl EngineStats {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_run(
         workers: usize,
-        intra_task_workers: usize,
         tasks: usize,
         fused_cohorts: usize,
         sweeps_executed: u64,
@@ -115,7 +112,6 @@ impl EngineStats {
         let denom = wall_seconds.max(1e-12);
         EngineStats {
             workers,
-            intra_task_workers,
             tasks,
             fused_cohorts,
             sweeps_executed,
@@ -189,7 +185,6 @@ mod tests {
     fn derived_rates_are_consistent() {
         let stats = EngineStats::from_run(
             4,
-            2,
             10,
             1,
             20,
@@ -208,7 +203,6 @@ mod tests {
             },
         );
         assert_eq!(stats.workers, 4);
-        assert_eq!(stats.intra_task_workers, 2);
         assert_eq!(stats.fused_cohorts, 1);
         assert_eq!(stats.sweeps_executed, 20);
         assert_eq!(stats.fused_sweeps, 6);
@@ -233,7 +227,6 @@ mod tests {
         // every recovery counter must be visible when non-zero.
         let stats = EngineStats::from_run(
             4,
-            2,
             10,
             1,
             20,
@@ -266,7 +259,6 @@ mod tests {
         // A healthy run's line carries no failure/recovery noise.
         let clean = EngineStats::from_run(
             2,
-            1,
             4,
             1,
             6,
@@ -291,7 +283,6 @@ mod tests {
     #[test]
     fn zero_wall_time_does_not_divide_by_zero() {
         let stats = EngineStats::from_run(
-            1,
             1,
             1,
             0,

@@ -1,9 +1,9 @@
 //! The chaos soak: seeded stochastic fault plans swept over a mixed
-//! workload (plain, retrying, quorum-tolerant, and turnstile jobs), both
-//! execution tiers, and several worker counts. Whatever fires wherever it
-//! fires, every job must land in exactly one of three lawful outcomes:
+//! workload (plain, retrying, quorum-tolerant, and turnstile jobs) and
+//! several worker counts. Whatever fires wherever it fires, every job
+//! must land in exactly one of three lawful outcomes:
 //!
-//! 1. **Full strength** — bit-identical to the fault-free reference.
+//! 1. **Full strength** — bit-identical to the standalone runners.
 //! 2. **Degraded** — the output aggregates *exactly* the surviving copies
 //!    (checked bit-for-bit against the clean per-copy estimates), and the
 //!    degradation record accounts for every configured copy.
@@ -16,12 +16,15 @@
 
 use degentri_core::faults::{self, FaultPlan};
 use degentri_core::TriangleEstimation;
-use degentri_core::{aggregate_copies, CopyContribution, EstimatorConfig, RngMode};
-use degentri_dynamic::DynamicEstimatorConfig;
+use degentri_core::{
+    aggregate_copies, estimate_triangles, estimate_triangles_with_oracle, CopyContribution,
+    EstimatorConfig, ExactDegreeOracle, RngMode,
+};
+use degentri_dynamic::{DynamicEstimatorConfig, DynamicOutcome, DynamicTriangleEstimator};
 use degentri_engine::{
     Engine, EngineConfig, EngineError, JobKind, JobResult, JobSpec, QuorumPolicy, RetryPolicy,
 };
-use degentri_stream::{MemoryStream, StreamOrder};
+use degentri_stream::{DynamicMemoryStream, EdgeStream, EdgeUpdate, MemoryStream, StreamOrder};
 
 fn main_config(seed: u64, copies: usize) -> EstimatorConfig {
     EstimatorConfig::builder()
@@ -47,11 +50,10 @@ fn dyn_config(seed: u64, copies: usize) -> DynamicEstimatorConfig {
         .with_rng_mode(RngMode::Counter)
 }
 
-fn engine(workers: usize, fused: bool) -> Engine {
+fn engine(workers: usize) -> Engine {
     Engine::new(
         EngineConfig::builder()
             .workers(workers)
-            .fused_execution(fused)
             .try_build()
             .unwrap(),
     )
@@ -75,6 +77,17 @@ fn submit_all(engine: &mut Engine) {
             .retry(RetryPolicy::new(2))
             .quorum(QuorumPolicy::best_effort()),
     );
+}
+
+/// A turnstile outcome in the engine's common estimation shape.
+fn dynamic_estimation(outcome: &DynamicOutcome) -> TriangleEstimation {
+    TriangleEstimation {
+        estimate: outcome.estimate,
+        copy_estimates: outcome.copy_estimates.clone(),
+        passes_per_copy: outcome.passes,
+        space: outcome.space,
+        copies: outcome.copies,
+    }
 }
 
 /// An error the harness can actually inject (directly, or via the panic
@@ -192,8 +205,10 @@ fn seeded_chaos_soak_never_corrupts_any_job() {
     let graph = degentri_gen::barabasi_albert(300, 4, 3).unwrap();
     let stream = MemoryStream::from_graph(&graph, StreamOrder::UniformRandom(4));
 
-    // The fault-free reference for every job, and each job's kind (for
-    // the degraded-aggregate recomputation) — mirroring `submit_all`.
+    // The fault-free reference for every job, from the standalone runners
+    // (the turnstile job sees the edges as insertions), and each job's
+    // kind (for the degraded-aggregate recomputation) — mirroring
+    // `submit_all`.
     let kinds = [
         JobKind::Main(main_config(101, 2)),
         JobKind::Main(main_config(102, 3)),
@@ -201,14 +216,29 @@ fn seeded_chaos_soak_never_corrupts_any_job() {
         JobKind::Dynamic(dyn_config(104, 3)),
     ];
     let reference: Vec<TriangleEstimation> = faults::with_plan(FaultPlan::default(), || {
-        let mut clean = engine(2, true);
-        submit_all(&mut clean);
-        clean
-            .run(&stream)
-            .unwrap()
-            .jobs
-            .into_iter()
-            .map(|j| j.into_estimation())
+        let oracle = ExactDegreeOracle::build(&stream);
+        let inserts = DynamicMemoryStream::from_updates(
+            stream.num_vertices(),
+            stream
+                .edges()
+                .iter()
+                .map(|&e| EdgeUpdate::insert(e))
+                .collect(),
+        );
+        kinds
+            .iter()
+            .map(|kind| match kind {
+                JobKind::Main(config) => estimate_triangles(&stream, config).unwrap(),
+                JobKind::Ideal(config) => {
+                    estimate_triangles_with_oracle(&stream, &oracle, config).unwrap()
+                }
+                JobKind::Dynamic(config) => dynamic_estimation(
+                    &DynamicTriangleEstimator::new(config.clone())
+                        .run(&inserts)
+                        .unwrap(),
+                ),
+                JobKind::Baseline(_) => unreachable!("the soak runs no baselines"),
+            })
             .collect()
     });
 
@@ -217,33 +247,30 @@ fn seeded_chaos_soak_never_corrupts_any_job() {
     let mut degradations = 0usize;
     let mut retried = 0u64;
     for plan_seed in 1..=seeds {
-        for fused in [true, false] {
-            for workers in [1usize, 4] {
-                let what = format!("plan_seed={plan_seed} fused={fused} workers={workers}");
-                let (report, observed) =
-                    faults::with_plan(FaultPlan::seeded(plan_seed, 40), || {
-                        let mut engine = engine(workers, fused);
-                        submit_all(&mut engine);
-                        let report = engine.run(&stream).unwrap();
-                        (report, faults::report())
-                    });
-                assert!(observed.total_probes() > 0, "{what}: no probes executed");
-                fired_total += observed.total_fired();
-                retried += report.stats.copies_retried;
-                let mut run_failed = 0usize;
-                let mut run_degraded = 0usize;
-                for (i, job) in report.jobs.iter().enumerate() {
-                    let (failed, degraded) =
-                        check_job(job, &kinds[i], &reference[i], &format!("{what} job={i}"));
-                    run_failed += usize::from(failed);
-                    run_degraded += usize::from(degraded);
-                }
-                // The run's own accounting agrees with the outcomes.
-                assert_eq!(report.stats.jobs_failed, run_failed, "{what}");
-                assert_eq!(report.stats.jobs_degraded, run_degraded, "{what}");
-                failures += run_failed;
-                degradations += run_degraded;
+        for workers in [1usize, 2, 4] {
+            let what = format!("plan_seed={plan_seed} workers={workers}");
+            let (report, observed) = faults::with_plan(FaultPlan::seeded(plan_seed, 40), || {
+                let mut engine = engine(workers);
+                submit_all(&mut engine);
+                let report = engine.run(&stream).unwrap();
+                (report, faults::report())
+            });
+            assert!(observed.total_probes() > 0, "{what}: no probes executed");
+            fired_total += observed.total_fired();
+            retried += report.stats.copies_retried;
+            let mut run_failed = 0usize;
+            let mut run_degraded = 0usize;
+            for (i, job) in report.jobs.iter().enumerate() {
+                let (failed, degraded) =
+                    check_job(job, &kinds[i], &reference[i], &format!("{what} job={i}"));
+                run_failed += usize::from(failed);
+                run_degraded += usize::from(degraded);
             }
+            // The run's own accounting agrees with the outcomes.
+            assert_eq!(report.stats.jobs_failed, run_failed, "{what}");
+            assert_eq!(report.stats.jobs_degraded, run_degraded, "{what}");
+            failures += run_failed;
+            degradations += run_degraded;
         }
     }
     // The soak must have exercised the machinery it claims to prove:

@@ -1,9 +1,9 @@
 //! Engine-vs-standalone parity for the turnstile estimator: a
 //! [`JobKind::Dynamic`] job scheduled by the engine must reproduce the
 //! standalone [`DynamicTriangleEstimator::run`] bit for bit — across
-//! worker counts, with and without the spare-worker sharded path —
-//! because copies carry the same derived seeds and the median aggregation
-//! is shared.
+//! worker counts, with unsharded and sharded cohort sweeps — because
+//! copies carry the same derived seeds and the median aggregation is
+//! shared.
 
 use degentri_core::RngMode;
 use degentri_dynamic::{DynamicEstimatorConfig, DynamicOutcome, DynamicTriangleEstimator};
@@ -86,27 +86,13 @@ fn spare_workers_shard_counter_mode_copies_bit_identically() {
     wide.submit(JobSpec::dynamic("sharded", config.clone()));
     let sharded = wide.run_dynamic(&stream).unwrap();
     // The fused cohort shards its shared sweeps across the whole pool.
-    assert_eq!(sharded.stats.intra_task_workers, 8);
+    assert_eq!(sharded.stats.workers, 8);
     assert_eq!(sharded.stats.fused_cohorts, 1);
 
-    let mut copy_only = Engine::new(
-        EngineConfig::builder()
-            .workers(8)
-            .intra_task_sharding(false)
-            .try_build()
-            .unwrap(),
-    );
-    copy_only.submit(JobSpec::dynamic("copy-only", config.clone()));
-    let plain = copy_only.run_dynamic(&stream).unwrap();
-    assert_eq!(plain.stats.intra_task_workers, 1);
-    assert_eq!(
-        sharded.jobs[0].estimation().estimate.to_bits(),
-        plain.jobs[0].estimation().estimate.to_bits()
-    );
-    assert_eq!(
-        sharded.jobs[0].estimation().copy_estimates,
-        plain.jobs[0].estimation().copy_estimates
-    );
+    // Bit-identical to the standalone estimator, which drives the same
+    // copies one at a time.
+    let standalone = DynamicTriangleEstimator::new(config).run(&stream).unwrap();
+    assert_same(&sharded.jobs[0], &standalone, "sharded sweeps");
 }
 
 #[test]

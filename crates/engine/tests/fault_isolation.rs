@@ -1,10 +1,9 @@
 //! The containment invariant, proven end to end: a failing job — panic,
 //! injected estimator error, missed deadline, or cancellation — fails
-//! **alone**. Its batchmates' estimations stay bit-identical to a clean
-//! run on every execution tier (fused cohorts, per-copy tasks, sharded
-//! per-copy tasks) at every worker count, because counter-mode randomness
-//! keys every draw by stream position and copy seed, never by what else
-//! is in flight.
+//! **alone**. Its batchmates' estimations stay bit-identical to the
+//! standalone runners at every worker count (unsharded and sharded cohort
+//! sweeps alike), because counter-mode randomness keys every draw by
+//! stream position and copy seed, never by what else is in flight.
 //!
 //! The tests in the root module need no features; the `faulted` module
 //! drives the deterministic injection harness and only compiles with
@@ -13,7 +12,7 @@
 use std::time::Duration;
 
 use degentri_baselines::{BaselineOutcome, StreamingTriangleCounter};
-use degentri_core::{EstimatorConfig, RngMode, TriangleEstimation};
+use degentri_core::{estimate_triangles, EstimatorConfig, RngMode, TriangleEstimation};
 use degentri_engine::{Engine, EngineConfig, EngineError, JobSpec};
 use degentri_stream::{EdgeStream, MemoryStream, SpaceReport, StreamOrder};
 
@@ -37,11 +36,10 @@ fn workload() -> MemoryStream {
     MemoryStream::from_graph(&graph, StreamOrder::UniformRandom(4))
 }
 
-fn engine(workers: usize, fused: bool) -> Engine {
+fn engine(workers: usize) -> Engine {
     Engine::new(
         EngineConfig::builder()
             .workers(workers)
-            .fused_execution(fused)
             .try_build()
             .unwrap(),
     )
@@ -62,19 +60,14 @@ fn quiesced<R>(f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// The clean per-job estimations of a batch — the bit-identity reference
-/// every containment test compares survivors against.
+/// The clean per-job estimations of a batch, from the standalone runner —
+/// the bit-identity reference every containment test compares survivors
+/// against.
 fn clean_reference(stream: &MemoryStream, seeds: &[u64]) -> Vec<TriangleEstimation> {
     quiesced(|| {
-        let mut engine = engine(2, true);
-        for (i, &seed) in seeds.iter().enumerate() {
-            engine.submit(JobSpec::main(format!("job-{i}"), main_config(seed)));
-        }
-        let report = engine.run(stream).unwrap();
-        report
-            .jobs
-            .into_iter()
-            .map(|j| j.into_estimation())
+        seeds
+            .iter()
+            .map(|&seed| estimate_triangles(stream, &main_config(seed)).unwrap())
             .collect()
     })
 }
@@ -92,39 +85,33 @@ fn assert_bits(actual: &TriangleEstimation, expected: &TriangleEstimation, what:
 }
 
 #[test]
-fn zero_deadline_fails_only_its_job_on_every_tier() {
+fn zero_deadline_fails_only_its_job_at_every_worker_count() {
     let stream = workload();
     let reference = clean_reference(&stream, &[11, 12]);
     quiesced(|| {
-        for fused in [true, false] {
-            for workers in [1usize, 2, 4] {
-                let mut engine = engine(workers, fused);
-                engine.submit(JobSpec::main("healthy", main_config(11)));
-                engine.submit(JobSpec::main("late", main_config(12)).deadline(Duration::ZERO));
-                let report = engine.run(&stream).unwrap();
-                let what = format!("fused={fused} workers={workers}");
-                assert!(report.jobs[0].is_ok(), "{what}: healthy job failed");
-                assert_bits(report.jobs[0].estimation(), &reference[0], &what);
-                // An already-expired deadline cuts the job before any
-                // pass completes, on both tiers.
-                assert!(
-                    matches!(
-                        report.jobs[1].error(),
-                        Some(EngineError::DeadlineExceeded {
-                            completed_passes: 0
-                        })
-                    ),
-                    "{what}: expected DeadlineExceeded(0), got {:?}",
-                    report.jobs[1].error()
-                );
-                assert_eq!(report.stats.jobs_failed, 1, "{what}");
-                if fused {
-                    // Both copies of the late job left the cohort.
-                    assert_eq!(report.stats.copies_evicted, 2, "{what}");
-                } else {
-                    assert_eq!(report.stats.copies_evicted, 0, "{what}");
-                }
-            }
+        for workers in [1usize, 2, 4] {
+            let mut engine = engine(workers);
+            engine.submit(JobSpec::main("healthy", main_config(11)));
+            engine.submit(JobSpec::main("late", main_config(12)).deadline(Duration::ZERO));
+            let report = engine.run(&stream).unwrap();
+            let what = format!("workers={workers}");
+            assert!(report.jobs[0].is_ok(), "{what}: healthy job failed");
+            assert_bits(report.jobs[0].estimation(), &reference[0], &what);
+            // An already-expired deadline cuts the job before any pass
+            // completes.
+            assert!(
+                matches!(
+                    report.jobs[1].error(),
+                    Some(EngineError::DeadlineExceeded {
+                        completed_passes: 0
+                    })
+                ),
+                "{what}: expected DeadlineExceeded(0), got {:?}",
+                report.jobs[1].error()
+            );
+            assert_eq!(report.stats.jobs_failed, 1, "{what}");
+            // Both copies of the late job left the cohort.
+            assert_eq!(report.stats.copies_evicted, 2, "{what}");
         }
     });
 }
@@ -134,33 +121,30 @@ fn cancelled_token_cuts_every_job_and_reset_restores_the_engine() {
     let stream = workload();
     let reference = clean_reference(&stream, &[11]);
     quiesced(|| {
-        for fused in [true, false] {
-            let mut engine = engine(2, fused);
-            let token = engine.cancel_token();
-            token.cancel();
-            engine.submit(JobSpec::main("a", main_config(11)));
-            engine.submit(JobSpec::main("b", main_config(12)));
-            let report = engine.run(&stream).unwrap();
-            let what = format!("fused={fused}");
-            for job in &report.jobs {
-                assert!(
-                    matches!(job.error(), Some(EngineError::Cancelled { .. })),
-                    "{what}: expected Cancelled, got {:?}",
-                    job.error()
-                );
-            }
-            assert_eq!(report.stats.jobs_failed, 2, "{what}");
-            // Nothing was streamed: every job was cut before its sweeps.
-            assert_eq!(report.stats.sweeps_executed, 0, "{what}");
-
-            // The token is sticky until reset; afterwards the same engine
-            // runs normally and reproduces the clean reference.
-            token.reset();
-            engine.submit(JobSpec::main("after-reset", main_config(11)));
-            let report = engine.run(&stream).unwrap();
-            assert!(report.jobs[0].is_ok(), "{what}: post-reset run failed");
-            assert_bits(report.jobs[0].estimation(), &reference[0], &what);
+        let mut engine = engine(2);
+        let token = engine.cancel_token();
+        token.cancel();
+        engine.submit(JobSpec::main("a", main_config(11)));
+        engine.submit(JobSpec::main("b", main_config(12)));
+        let report = engine.run(&stream).unwrap();
+        for job in &report.jobs {
+            assert!(
+                matches!(job.error(), Some(EngineError::Cancelled { .. })),
+                "expected Cancelled, got {:?}",
+                job.error()
+            );
         }
+        assert_eq!(report.stats.jobs_failed, 2);
+        // Nothing was streamed: every job was cut before its sweeps.
+        assert_eq!(report.stats.sweeps_executed, 0);
+
+        // The token is sticky until reset; afterwards the same engine runs
+        // normally and reproduces the clean reference.
+        token.reset();
+        engine.submit(JobSpec::main("after-reset", main_config(11)));
+        let report = engine.run(&stream).unwrap();
+        assert!(report.jobs[0].is_ok(), "post-reset run failed");
+        assert_bits(report.jobs[0].estimation(), &reference[0], "after reset");
     });
 }
 
@@ -212,7 +196,7 @@ fn panicking_job_is_contained_and_the_worker_survives() {
     quiesced(|| {
         // One worker: the same thread that catches the panic must go on to
         // execute both remaining jobs.
-        let mut engine = engine(1, true);
+        let mut engine = engine(1);
         engine.submit(JobSpec::baseline("boom", Box::new(PanickingCounter)));
         engine.submit(JobSpec::main("healthy", main_config(11)));
         engine.submit(JobSpec::baseline("inert", Box::new(InertCounter)));
@@ -240,106 +224,83 @@ mod faulted {
     use super::*;
     use degentri_core::faults::{self, FaultKind, FaultPlan, FaultSite};
     use degentri_core::{main_copy_seed, EstimatorError};
-    use degentri_dynamic::{dynamic_copy_seed, DynamicError, DynamicEstimatorConfig};
+    use degentri_dynamic::{
+        dynamic_copy_seed, DynamicError, DynamicEstimatorConfig, DynamicTriangleEstimator,
+    };
     use degentri_stream::DynamicMemoryStream;
 
     /// `MainFinish` fires once per pass per copy with the copy's derived
-    /// seed as key on **every** tier, so a targeted rule fails the same
-    /// logical job under fused, per-copy, and sharded scheduling alike —
-    /// and the survivors must be bit-identical to the clean batch
-    /// everywhere.
+    /// seed as key, so a targeted rule fails the same logical job at every
+    /// worker count (unsharded and sharded sweeps alike) — and the
+    /// survivors must be bit-identical to the clean batch everywhere.
     #[test]
-    fn targeted_finish_fault_fails_the_same_job_on_every_tier() {
+    fn targeted_finish_fault_fails_the_same_job_at_every_worker_count() {
         let stream = workload();
         let seeds = [21u64, 22, 23];
         let reference = clean_reference(&stream, &seeds);
         for kind in [FaultKind::Error, FaultKind::Panic] {
-            for fused in [true, false] {
-                for workers in [1usize, 2, 4] {
-                    // Copy 1 of the middle job, at its fourth finish
-                    // (pass index 3). A fresh install per run resets the
-                    // harness hit counters.
-                    let plan = FaultPlan::single(
-                        FaultSite::MainFinish,
-                        main_copy_seed(seeds[1], 1),
-                        3,
-                        kind,
-                    );
-                    let report = faults::with_plan(plan, || {
-                        let mut engine = engine(workers, fused);
-                        for (i, &seed) in seeds.iter().enumerate() {
-                            engine.submit(JobSpec::main(format!("job-{i}"), main_config(seed)));
-                        }
-                        engine.run(&stream).unwrap()
-                    });
-                    let what = format!("{kind:?} fused={fused} workers={workers}");
-                    match kind {
-                        FaultKind::Error => assert!(
-                            matches!(
-                                report.jobs[1].error(),
-                                Some(EngineError::Estimator(EstimatorError::Injected {
-                                    site: FaultSite::MainFinish,
-                                }))
-                            ),
-                            "{what}: got {:?}",
-                            report.jobs[1].error()
+            for workers in [1usize, 2, 4] {
+                // Copy 1 of the middle job, at its fourth finish (pass
+                // index 3). A fresh install per run resets the harness hit
+                // counters.
+                let plan =
+                    FaultPlan::single(FaultSite::MainFinish, main_copy_seed(seeds[1], 1), 3, kind);
+                let report = faults::with_plan(plan, || {
+                    let mut engine = engine(workers);
+                    for (i, &seed) in seeds.iter().enumerate() {
+                        engine.submit(JobSpec::main(format!("job-{i}"), main_config(seed)));
+                    }
+                    engine.run(&stream).unwrap()
+                });
+                let what = format!("{kind:?} workers={workers}");
+                match kind {
+                    FaultKind::Error => assert!(
+                        matches!(
+                            report.jobs[1].error(),
+                            Some(EngineError::Estimator(EstimatorError::Injected {
+                                site: FaultSite::MainFinish,
+                            }))
                         ),
-                        _ => assert!(
-                            matches!(report.jobs[1].error(), Some(EngineError::Panicked { .. })),
-                            "{what}: got {:?}",
-                            report.jobs[1].error()
-                        ),
-                    }
-                    for i in [0usize, 2] {
-                        assert!(report.jobs[i].is_ok(), "{what}: job {i} failed");
-                        assert_bits(report.jobs[i].estimation(), &reference[i], &what);
-                    }
-                    assert_eq!(report.stats.jobs_failed, 1, "{what}");
-                    if fused {
-                        assert_eq!(report.stats.copies_evicted, 2, "{what}");
-                    }
+                        "{what}: got {:?}",
+                        report.jobs[1].error()
+                    ),
+                    _ => assert!(
+                        matches!(report.jobs[1].error(), Some(EngineError::Panicked { .. })),
+                        "{what}: got {:?}",
+                        report.jobs[1].error()
+                    ),
                 }
+                for i in [0usize, 2] {
+                    assert!(report.jobs[i].is_ok(), "{what}: job {i} failed");
+                    assert_bits(report.jobs[i].estimation(), &reference[i], &what);
+                }
+                assert_eq!(report.stats.jobs_failed, 1, "{what}");
+                assert_eq!(report.stats.copies_evicted, 2, "{what}");
             }
         }
     }
 
-    /// `TaskStart` probes only exist on the per-copy tier; the injected
-    /// error is typed and the batchmates are untouched. The same plan
-    /// under fused execution never fires.
+    /// `TaskStart` probes guard baseline tasks and retry attempts only; a
+    /// cohort's first execution has no such site, so a rule keyed by an
+    /// estimator copy stays dormant without a retry policy.
     #[test]
-    fn task_start_injection_cuts_only_per_copy_jobs() {
+    fn task_start_injection_is_dormant_without_retries() {
         let stream = workload();
         let seeds = [21u64, 22, 23];
         let reference = clean_reference(&stream, &seeds);
-        let plan = || {
-            FaultPlan::single(
-                FaultSite::TaskStart,
-                main_copy_seed(seeds[1], 0),
-                0,
-                FaultKind::Error,
-            )
-        };
-        let run = |fused: bool| {
-            faults::with_plan(plan(), || {
-                let mut engine = engine(2, fused);
-                for (i, &seed) in seeds.iter().enumerate() {
-                    engine.submit(JobSpec::main(format!("job-{i}"), main_config(seed)));
-                }
-                engine.run(&stream).unwrap()
-            })
-        };
-        let per_copy = run(false);
-        assert!(matches!(
-            per_copy.jobs[1].error(),
-            Some(EngineError::Estimator(EstimatorError::Injected {
-                site: FaultSite::TaskStart,
-            }))
-        ));
-        for i in [0usize, 2] {
-            assert_bits(per_copy.jobs[i].estimation(), &reference[i], "per-copy");
-        }
-        // Fused tier: no TaskStart site, the rule stays dormant.
-        let fused = run(true);
+        let plan = FaultPlan::single(
+            FaultSite::TaskStart,
+            main_copy_seed(seeds[1], 0),
+            0,
+            FaultKind::Error,
+        );
+        let fused = faults::with_plan(plan, || {
+            let mut engine = engine(2);
+            for (i, &seed) in seeds.iter().enumerate() {
+                engine.submit(JobSpec::main(format!("job-{i}"), main_config(seed)));
+            }
+            engine.run(&stream).unwrap()
+        });
         assert_eq!(fused.stats.jobs_failed, 0);
         for (i, clean) in reference.iter().enumerate() {
             assert_bits(fused.jobs[i].estimation(), clean, "fused dormant");
@@ -362,7 +323,7 @@ mod faulted {
                 FaultKind::Panic,
             );
             let report = faults::with_plan(plan, || {
-                let mut engine = engine(workers, true);
+                let mut engine = engine(workers);
                 for (i, &seed) in seeds.iter().enumerate() {
                     engine.submit(JobSpec::main(format!("job-{i}"), main_config(seed)));
                 }
@@ -396,7 +357,7 @@ mod faulted {
             FaultKind::DelayMillis(40),
         );
         let report = faults::with_plan(plan, || {
-            let mut engine = engine(2, true);
+            let mut engine = engine(2);
             engine.submit(JobSpec::main("job-0", main_config(seeds[0])));
             engine.submit(
                 JobSpec::main("job-1", main_config(seeds[1])).deadline(Duration::from_millis(10)),
@@ -427,30 +388,28 @@ mod faulted {
         let faults_before = faults::injected_count();
         let mut failures = 0usize;
         for plan_seed in 1u64..=3 {
-            for fused in [true, false] {
-                for workers in [1usize, 2, 4] {
-                    let report = faults::with_plan(FaultPlan::seeded(plan_seed, 8), || {
-                        let mut engine = engine(workers, fused);
-                        for (i, &seed) in seeds.iter().enumerate() {
-                            engine.submit(JobSpec::main(format!("job-{i}"), main_config(seed)));
-                        }
-                        engine.run(&stream).unwrap()
-                    });
-                    let what = format!("plan_seed={plan_seed} fused={fused} workers={workers}");
-                    for (i, job) in report.jobs.iter().enumerate() {
-                        match job.output() {
-                            Some(out) => {
-                                assert_bits(&out.estimation, &reference[i], &what);
-                            }
-                            None => failures += 1,
-                        }
+            for workers in [1usize, 2, 4] {
+                let report = faults::with_plan(FaultPlan::seeded(plan_seed, 8), || {
+                    let mut engine = engine(workers);
+                    for (i, &seed) in seeds.iter().enumerate() {
+                        engine.submit(JobSpec::main(format!("job-{i}"), main_config(seed)));
                     }
-                    assert_eq!(
-                        report.stats.jobs_failed,
-                        report.jobs.iter().filter(|j| !j.is_ok()).count(),
-                        "{what}"
-                    );
+                    engine.run(&stream).unwrap()
+                });
+                let what = format!("plan_seed={plan_seed} workers={workers}");
+                for (i, job) in report.jobs.iter().enumerate() {
+                    match job.output() {
+                        Some(out) => {
+                            assert_bits(&out.estimation, &reference[i], &what);
+                        }
+                        None => failures += 1,
+                    }
                 }
+                assert_eq!(
+                    report.stats.jobs_failed,
+                    report.jobs.iter().filter(|j| !j.is_ok()).count(),
+                    "{what}"
+                );
             }
         }
         // The sweep must actually have exercised the harness.
@@ -459,10 +418,10 @@ mod faulted {
     }
 
     /// The turnstile estimator's containment mirrors the six-pass one:
-    /// a `DynamicFinish` fault fails its job on both tiers and the
-    /// surviving dynamic jobs stay bit-identical.
+    /// a `DynamicFinish` fault fails its job at every worker count and the
+    /// surviving dynamic job stays bit-identical to its standalone run.
     #[test]
-    fn dynamic_finish_fault_is_contained_on_both_tiers() {
+    fn dynamic_finish_fault_is_contained() {
         let graph = degentri_gen::barabasi_albert(200, 4, 9).unwrap();
         let stream = DynamicMemoryStream::with_churn(&graph, 0.5, 31);
         let config = |seed: u64| {
@@ -474,17 +433,11 @@ mod faulted {
                 .with_rng_mode(RngMode::Counter)
         };
         let reference = quiesced(|| {
-            let mut engine = engine(2, true);
-            engine.submit(JobSpec::dynamic("a", config(41)));
-            engine.submit(JobSpec::dynamic("b", config(42)));
-            let report = engine.run_dynamic(&stream).unwrap();
-            report
-                .jobs
-                .into_iter()
-                .map(|j| j.into_estimation())
-                .collect::<Vec<_>>()
+            DynamicTriangleEstimator::new(config(41))
+                .run(&stream)
+                .unwrap()
         });
-        for fused in [true, false] {
+        for workers in [1usize, 2, 4] {
             let plan = FaultPlan::single(
                 FaultSite::DynamicFinish,
                 dynamic_copy_seed(42, 1),
@@ -492,14 +445,23 @@ mod faulted {
                 FaultKind::Error,
             );
             let report = faults::with_plan(plan, || {
-                let mut engine = engine(2, fused);
+                let mut engine = engine(workers);
                 engine.submit(JobSpec::dynamic("a", config(41)));
                 engine.submit(JobSpec::dynamic("b", config(42)));
                 engine.run_dynamic(&stream).unwrap()
             });
-            let what = format!("dynamic fused={fused}");
+            let what = format!("dynamic workers={workers}");
             assert!(report.jobs[0].is_ok(), "{what}");
-            assert_bits(report.jobs[0].estimation(), &reference[0], &what);
+            let survivor = report.jobs[0].estimation();
+            assert_eq!(
+                survivor.estimate.to_bits(),
+                reference.estimate.to_bits(),
+                "{what}: estimate"
+            );
+            assert_eq!(
+                survivor.copy_estimates, reference.copy_estimates,
+                "{what}: copy estimates"
+            );
             assert!(
                 matches!(
                     report.jobs[1].error(),
@@ -514,13 +476,14 @@ mod faulted {
         }
     }
 
-    /// Evicting an ideal or dynamic cohort member from the overlapped
-    /// one-pool schedule — a mixed main + ideal + dynamic batch over one
-    /// edge snapshot — leaves every surviving job bit-identical to the
-    /// clean mixed run, at every worker count.
+    /// Evicting an ideal or dynamic cohort member from the one-pool
+    /// schedule — a mixed main + ideal + dynamic batch over one edge
+    /// snapshot — leaves every surviving job bit-identical to its
+    /// standalone run, at every worker count.
     #[test]
     fn mixed_cohort_member_eviction_leaves_survivors_bit_identical() {
-        use degentri_core::ideal_copy_seed;
+        use degentri_core::{estimate_triangles_with_oracle, ideal_copy_seed, ExactDegreeOracle};
+        use degentri_stream::EdgeUpdate;
         let stream = workload();
         let dyn_config = DynamicEstimatorConfig::new(4, 80)
             .with_epsilon(0.3)
@@ -533,15 +496,28 @@ mod faulted {
             engine.submit(JobSpec::ideal("ideal", main_config(52)));
             engine.submit(JobSpec::dynamic("dynamic", dyn_config.clone()));
         };
-        let reference = quiesced(|| {
-            let mut engine = engine(2, true);
-            submit_all(&mut engine);
-            let report = engine.run(&stream).unwrap();
-            report
-                .jobs
-                .into_iter()
-                .map(|j| j.into_estimation())
-                .collect::<Vec<_>>()
+        // The standalone references; the turnstile job sees the edge
+        // snapshot as an insert-only update stream.
+        let reference: Vec<(f64, Vec<f64>)> = quiesced(|| {
+            let oracle = ExactDegreeOracle::build(&stream);
+            let inserts = DynamicMemoryStream::from_updates(
+                stream.num_vertices(),
+                stream
+                    .edges()
+                    .iter()
+                    .map(|&e| EdgeUpdate::insert(e))
+                    .collect(),
+            );
+            let main = estimate_triangles(&stream, &main_config(51)).unwrap();
+            let ideal = estimate_triangles_with_oracle(&stream, &oracle, &main_config(52)).unwrap();
+            let dynamic = DynamicTriangleEstimator::new(dyn_config.clone())
+                .run(&inserts)
+                .unwrap();
+            vec![
+                (main.estimate, main.copy_estimates),
+                (ideal.estimate, ideal.copy_estimates),
+                (dynamic.estimate, dynamic.copy_estimates),
+            ]
         });
         // (victim job index, pass-boundary fault key of its copy 0).
         let victims = [
@@ -552,7 +528,7 @@ mod faulted {
             for workers in [1usize, 2, 4] {
                 let plan = FaultPlan::single(FaultSite::PassBoundary, key, 1, FaultKind::Panic);
                 let report = faults::with_plan(plan, || {
-                    let mut engine = engine(workers, true);
+                    let mut engine = engine(workers);
                     submit_all(&mut engine);
                     engine.run(&stream).unwrap()
                 });
@@ -569,7 +545,17 @@ mod faulted {
                 assert_eq!(report.stats.copies_evicted, 2, "{what}");
                 for i in (0..3).filter(|&i| i != victim) {
                     assert!(report.jobs[i].is_ok(), "{what}: job {i} failed");
-                    assert_bits(report.jobs[i].estimation(), &reference[i], &what);
+                    let (estimate, copies) = &reference[i];
+                    let survivor = report.jobs[i].estimation();
+                    assert_eq!(
+                        survivor.estimate.to_bits(),
+                        estimate.to_bits(),
+                        "{what}: job {i} estimate"
+                    );
+                    assert_eq!(
+                        &survivor.copy_estimates, copies,
+                        "{what}: job {i} copy estimates"
+                    );
                 }
             }
         }

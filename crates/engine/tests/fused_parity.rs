@@ -1,13 +1,16 @@
-//! Fused-vs-unfused bit-identity: the fused pass driver (one sweep per
-//! pass stage feeding every copy, with cohort-level union probes) must
-//! reproduce per-copy scheduling bit for bit — for both estimators,
-//! across copies × shards × workers, and for any cohort grouping.
+//! Fused-vs-standalone bit-identity: the fused cohort driver (one sweep
+//! per pass stage feeding every copy, with cohort-level union probes)
+//! must reproduce the standalone runners — which drive the same stage
+//! objects one copy at a time — bit for bit, for both estimators, across
+//! copies × shards × workers, and for any cohort grouping.
 
 use degentri_baselines::{ExactStreamCounter, StreamingTriangleCounter};
 use degentri_core::{
     main_copy_seed, EstimatorConfig, MainCopyStages, MainStageAcc, RngMode, TriangleEstimation,
 };
-use degentri_dynamic::{dynamic_copy_seed, DynamicCopyStages, DynamicEstimatorConfig};
+use degentri_dynamic::{
+    dynamic_copy_seed, DynamicCopyStages, DynamicEstimatorConfig, DynamicTriangleEstimator,
+};
 use degentri_engine::{Engine, EngineConfig, JobSpec};
 use degentri_graph::Edge;
 use degentri_stream::{
@@ -200,50 +203,36 @@ fn engine_fused_path_matches_per_copy_path_for_both_estimators() {
     let stream = workload();
     let (dyn_stream, dyn_config) = dynamic_workload();
     for &copies in &[1usize, 4, 9] {
+        // The standalone runners drive one copy at a time with the same
+        // per-copy seeds.
+        let config = main_config(copies, 7);
+        let per_copy = degentri_core::estimate_triangles(&stream, &config).unwrap();
+        let dyn_config = dyn_config.clone().with_copies(copies);
+        let dyn_per_copy = DynamicTriangleEstimator::new(dyn_config.clone())
+            .run(&dyn_stream)
+            .unwrap();
         for &workers in &[1usize, 2, 4] {
-            let config = main_config(copies, 7);
-            let run = |fused: bool| -> TriangleEstimation {
-                let mut engine = Engine::new(
-                    EngineConfig::builder()
-                        .workers(workers)
-                        .fused_execution(fused)
-                        .try_build()
-                        .unwrap(),
-                );
-                engine.submit(JobSpec::main("main", config.clone()));
-                engine
-                    .run(&stream)
-                    .unwrap()
-                    .jobs
-                    .remove(0)
-                    .into_estimation()
-            };
-            let fused = run(true);
-            let per_copy = run(false);
+            let mut engine = Engine::with_workers(workers);
+            engine.submit(JobSpec::main("main", config.clone()));
+            let fused: TriangleEstimation = engine
+                .run(&stream)
+                .unwrap()
+                .jobs
+                .remove(0)
+                .into_estimation();
             assert_eq!(fused.copy_estimates, per_copy.copy_estimates);
             assert_eq!(fused.estimate.to_bits(), per_copy.estimate.to_bits());
 
-            let dyn_config = dyn_config.clone().with_copies(copies);
-            let run_dyn = |fused: bool| {
-                let mut engine = Engine::new(
-                    EngineConfig::builder()
-                        .workers(workers)
-                        .fused_execution(fused)
-                        .try_build()
-                        .unwrap(),
-                );
-                engine.submit(JobSpec::dynamic("dyn", dyn_config.clone()));
-                engine.run_dynamic(&dyn_stream).unwrap().jobs.remove(0)
-            };
-            let fused = run_dyn(true);
-            let per_copy = run_dyn(false);
+            let mut engine = Engine::with_workers(workers);
+            engine.submit(JobSpec::dynamic("dyn", dyn_config.clone()));
+            let fused = engine.run_dynamic(&dyn_stream).unwrap().jobs.remove(0);
             assert_eq!(
                 fused.estimation().copy_estimates,
-                per_copy.estimation().copy_estimates
+                dyn_per_copy.copy_estimates
             );
             assert_eq!(
                 fused.estimation().estimate.to_bits(),
-                per_copy.estimation().estimate.to_bits()
+                dyn_per_copy.estimate.to_bits()
             );
         }
     }
@@ -273,7 +262,7 @@ fn fused_sweep_accounting_counts_physical_traversals() {
     let report = engine.run_snapshot(&snapshot).unwrap();
     assert_eq!(report.stats.sweeps_executed, 6);
 
-    // Per-copy scheduling of the same jobs performs copies × passes.
+    // The turnstile cohort: three copies of four passes in four sweeps.
     let (dyn_stream, dyn_config) = dynamic_workload();
     let mut engine = Engine::with_workers(1);
     engine.submit(JobSpec::dynamic("d", dyn_config.clone().with_copies(3)));
@@ -292,7 +281,7 @@ fn mixed_batches_run_fused_and_per_copy_tiers_together() {
     let m = degentri_stream::EdgeStream::num_edges(&stream) as u64;
     let counter = main_config(3, 9);
     // The estimator job fuses every pass; the baseline job runs as a
-    // per-copy task on the same pool. Both match their standalone runs.
+    // queued task on the same pool. Both match their standalone runs.
     let mut engine = Engine::new(EngineConfig::builder().workers(2).try_build().unwrap());
     engine.submit(JobSpec::main("counter", counter.clone()));
     engine.submit(JobSpec::baseline(

@@ -1,8 +1,8 @@
 //! Mixed-kind batch parity: one engine run carrying main, ideal, and
 //! dynamic jobs over a single edge snapshot must reproduce every job's
-//! isolated run bit for bit — the fusion matrix (one cell per job kind)
-//! only changes how many physical sweeps the batch costs, never any
-//! copy's estimate.
+//! isolated run bit for bit — the fusion matrix (one cohort per job
+//! kind) only changes how many physical sweeps the batch costs, never
+//! any copy's estimate.
 
 use degentri_core::{
     estimate_triangles, estimate_triangles_with_oracle, EstimatorConfig, ExactDegreeOracle,
@@ -117,17 +117,20 @@ fn mixed_kind_batches_match_isolated_runs_bit_for_bit() {
                 "{what}: dynamic aggregate"
             );
 
-            // Sweep accounting: 6 shared six-pass sweeps serve the counter
-            // job entirely and the ideal job's 3 passes; the dynamic cohort
-            // adds its 4 turnstile sweeps, and the oracle stats pass adds 1.
-            let fused_total = 6 + 4 + 1;
+            // Sweep accounting: one cohort per kind — 6 six-pass sweeps,
+            // 3 ideal sweeps, 4 turnstile sweeps — plus the oracle stats
+            // pass.
+            let fused_total = 6 + 3 + 4 + 1;
             let unfused_total = 3 * 6 + 3 * 3 + 3 * 4 + 1;
             assert_eq!(report.stats.sweeps_executed, fused_total, "{what}");
             assert!(
                 report.stats.sweeps_executed < unfused_total,
                 "{what}: fused batch must beat the unfused sum"
             );
-            assert_eq!(report.stats.fused_cohorts, 2, "{what}: edge + turnstile");
+            assert_eq!(
+                report.stats.fused_cohorts, 3,
+                "{what}: six-pass + ideal + turnstile"
+            );
             assert!(report.stats.fused_sweeps > 0, "{what}");
             assert_eq!(
                 report.stats.fused_sweeps + report.stats.per_copy_sweeps,
@@ -138,47 +141,45 @@ fn mixed_kind_batches_match_isolated_runs_bit_for_bit() {
     }
 }
 
-/// Turning fusion off entirely must not change any estimate either — the
-/// matrix cells degrade to per-copy tasks with identical results.
+/// A six-pass + turnstile batch matches the standalone runners, which
+/// drive the same copies one at a time, and every sweep it makes is a
+/// cohort sweep.
 #[test]
-fn unfused_mixed_batch_matches_fused_results() {
+fn main_and_turnstile_batch_matches_standalone_runs() {
     let stream = workload();
     let counter = main_config(2, 7);
     let dynamic = dyn_config(2, 8);
 
-    let run = |fused: bool| {
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(2)
-                .fused_execution(fused)
-                .try_build()
-                .unwrap(),
-        );
-        engine.submit(JobSpec::main("main", counter.clone()));
-        engine.submit(JobSpec::dynamic("dynamic", dynamic.clone()));
-        engine.run(&stream).unwrap()
-    };
-    let fused = run(true);
-    let unfused = run(false);
-    for (f, u) in fused.jobs.iter().zip(unfused.jobs.iter()) {
-        assert_eq!(
-            f.estimation().copy_estimates,
-            u.estimation().copy_estimates,
-            "{}",
-            f.label
-        );
-    }
-    assert!(fused.stats.sweeps_executed < unfused.stats.sweeps_executed);
-    assert_eq!(unfused.stats.fused_sweeps, 0);
-    assert_eq!(unfused.stats.per_copy_sweeps, unfused.stats.sweeps_executed);
+    let mut engine = Engine::with_workers(2);
+    engine.submit(JobSpec::main("main", counter.clone()));
+    engine.submit(JobSpec::dynamic("dynamic", dynamic.clone()));
+    let report = engine.run(&stream).unwrap();
+    assert_estimation_eq(
+        report.jobs[0].estimation(),
+        &estimate_triangles(&stream, &counter).unwrap(),
+        "main",
+    );
+    let dynamic_ref = dynamic_reference(&stream, &dynamic);
+    assert_eq!(
+        report.jobs[1].estimation().copy_estimates,
+        dynamic_ref.copy_estimates
+    );
+    assert_eq!(
+        report.jobs[1].estimation().estimate.to_bits(),
+        dynamic_ref.estimate.to_bits()
+    );
+    // 6 + 4 cohort sweeps, against 2 × 6 + 2 × 4 copy by copy.
+    assert_eq!(report.stats.sweeps_executed, 6 + 4);
+    assert_eq!(report.stats.fused_sweeps, report.stats.sweeps_executed);
+    assert_eq!(report.stats.per_copy_sweeps, 0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random mixed-kind cohort groupings with ragged pass budgets (ideal
-    /// members retire after 3 passes, dynamic after 4) never change any
-    /// copy's estimate.
+    /// Random mixed-kind groupings — any mix of six-pass, ideal and
+    /// turnstile jobs, each kind fused into its own cohort with its own
+    /// pass budget — never change any copy's estimate.
     #[test]
     fn ragged_mixed_groupings_never_change_any_copys_estimate(
         job_shapes in proptest::collection::vec((0usize..3, 1usize..4, 0u64..1000), 1..5),

@@ -1,12 +1,13 @@
 //! Observability is observation-only: every estimate must be bit-identical
-//! with recording on, off, or mixed across runs — for both estimators and
-//! every scheduling tier (fused, per-copy, sharded) — and the assembled
+//! with recording on, off, or mixed across runs — for both estimators,
+//! with unsharded and sharded cohort sweeps, and equal to the standalone
+//! runners — and the assembled
 //! [`RunReport`] must describe the run it came from (pass names, item
 //! counts, self-times nested inside the wall time) and survive a JSON
 //! round-trip.
 
 use degentri_core::{EstimatorConfig, RngMode};
-use degentri_dynamic::DynamicEstimatorConfig;
+use degentri_dynamic::{DynamicEstimatorConfig, DynamicTriangleEstimator};
 use degentri_engine::{Engine, EngineConfig, EngineReport, JobSpec};
 use degentri_obs::{Counter, RunReport};
 use degentri_stream::{DynamicMemoryStream, MemoryStream, StreamOrder};
@@ -48,12 +49,11 @@ fn run_main(stream: &MemoryStream, engine_config: EngineConfig, copies: usize) -
     engine.run(stream).unwrap()
 }
 
-fn run_dynamic(recording: bool, fused: bool, workers: usize) -> EngineReport {
+fn run_dynamic(recording: bool, workers: usize) -> EngineReport {
     let (stream, config) = dynamic_workload();
     let mut engine = Engine::new(
         EngineConfig::builder()
             .workers(workers)
-            .fused_execution(fused)
             .recording(recording)
             .try_build()
             .unwrap(),
@@ -65,28 +65,29 @@ fn run_dynamic(recording: bool, fused: bool, workers: usize) -> EngineReport {
 #[test]
 fn recording_is_observation_only_for_main_jobs() {
     let stream = workload();
-    // (fused?, workers): the fused single-worker path, the per-copy path,
-    // and the sharded fused path.
-    for (fused, workers) in [(true, 1), (false, 2), (true, 8)] {
+    let standalone = degentri_core::estimate_triangles(&stream, &main_config(4)).unwrap();
+    // Unsharded sweeps on one worker, sharded sweeps on two and eight.
+    for workers in [1, 2, 8] {
         let build = |recording: bool| {
             EngineConfig::builder()
                 .workers(workers)
-                .fused_execution(fused)
                 .recording(recording)
                 .try_build()
                 .unwrap()
         };
         let on = run_main(&stream, build(true), 4);
         let off = run_main(&stream, build(false), 4);
-        assert_eq!(
-            on.jobs[0].estimation().estimate.to_bits(),
-            off.jobs[0].estimation().estimate.to_bits(),
-            "fused={fused} workers={workers}"
-        );
-        assert_eq!(
-            on.jobs[0].estimation().copy_estimates,
-            off.jobs[0].estimation().copy_estimates
-        );
+        for report in [&on, &off] {
+            assert_eq!(
+                report.jobs[0].estimation().estimate.to_bits(),
+                standalone.estimate.to_bits(),
+                "workers={workers}"
+            );
+            assert_eq!(
+                report.jobs[0].estimation().copy_estimates,
+                standalone.copy_estimates
+            );
+        }
         assert!(on.run_report.is_some(), "recording run carries a report");
         assert!(off.run_report.is_none(), "silent run carries no report");
         // Recording never changes what was executed, only what was seen.
@@ -97,18 +98,22 @@ fn recording_is_observation_only_for_main_jobs() {
 
 #[test]
 fn recording_is_observation_only_for_dynamic_jobs() {
-    for (fused, workers) in [(true, 1), (false, 2), (true, 4)] {
-        let on = run_dynamic(true, fused, workers);
-        let off = run_dynamic(false, fused, workers);
-        assert_eq!(
-            on.jobs[0].estimation().estimate.to_bits(),
-            off.jobs[0].estimation().estimate.to_bits(),
-            "fused={fused} workers={workers}"
-        );
-        assert_eq!(
-            on.jobs[0].estimation().copy_estimates,
-            off.jobs[0].estimation().copy_estimates
-        );
+    let (stream, config) = dynamic_workload();
+    let standalone = DynamicTriangleEstimator::new(config).run(&stream).unwrap();
+    for workers in [1, 2, 4] {
+        let on = run_dynamic(true, workers);
+        let off = run_dynamic(false, workers);
+        for report in [&on, &off] {
+            assert_eq!(
+                report.jobs[0].estimation().estimate.to_bits(),
+                standalone.estimate.to_bits(),
+                "workers={workers}"
+            );
+            assert_eq!(
+                report.jobs[0].estimation().copy_estimates,
+                standalone.copy_estimates
+            );
+        }
         assert!(on.run_report.is_some() && off.run_report.is_none());
     }
 }
@@ -171,7 +176,7 @@ fn fused_main_run_report_structure() {
 
 #[test]
 fn dynamic_run_report_and_per_pass_timings() {
-    let report = run_dynamic(true, true, 2);
+    let report = run_dynamic(true, 2);
     let run = report.run_report.as_ref().unwrap();
     assert_eq!(run.cohorts.len(), 1);
     let cohort = &run.cohorts[0];

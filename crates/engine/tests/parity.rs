@@ -90,35 +90,24 @@ fn batch_size_and_sharding_never_change_results() {
         assert_eq!(parallel.estimate.to_bits(), sequential.estimate.to_bits());
     }
 
-    // Engine scheduling: 3 copies on 9 workers shards each copy 3 ways;
-    // the job result must still match the sequential runner bit for bit.
-    for sharding in [false, true] {
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(9)
-                .intra_task_sharding(sharding)
-                .try_build()
-                .unwrap(),
-        );
+    // Engine scheduling: the 3-copy cohort's shared sweeps run unsharded
+    // on one worker and sharded across the whole pool on 9; the job
+    // result must still match the sequential runner bit for bit.
+    for workers in [1, 9] {
+        let mut engine = Engine::with_workers(workers);
         engine.submit(JobSpec::main("sweep", config.clone()));
         let report = engine.run(&stream).unwrap();
         assert_eq!(
             report.jobs[0].estimation().copy_estimates,
             sequential.copy_estimates,
-            "sharding = {sharding}"
+            "workers = {workers}"
         );
         assert_eq!(
             report.jobs[0].estimation().estimate.to_bits(),
             sequential.estimate.to_bits()
         );
-        // With intra-task sharding the fused cohort shards its shared
-        // sweeps across the whole pool; without it (and a multi-worker
-        // pool) the engine keeps copy-level parallelism by not fusing.
-        assert_eq!(report.stats.fused_cohorts, usize::from(sharding));
-        assert_eq!(
-            report.stats.intra_task_workers,
-            if sharding { 9 } else { 1 }
-        );
+        assert_eq!(report.stats.fused_cohorts, 1);
+        assert_eq!(report.stats.workers, workers);
     }
 }
 
@@ -135,7 +124,7 @@ fn counter_mode_ideal_jobs_shard_across_spare_workers() {
     let mut engine = Engine::with_workers(8);
     engine.submit(JobSpec::ideal("ideal", config.clone()));
     let sharded = engine.run(&stream).unwrap();
-    assert_eq!(sharded.stats.intra_task_workers, 8);
+    assert_eq!(sharded.stats.workers, 8);
     assert_eq!(sharded.stats.fused_cohorts, 1);
 
     // Bit-identical to a single worker and to the sequential oracle
@@ -143,7 +132,7 @@ fn counter_mode_ideal_jobs_shard_across_spare_workers() {
     let mut engine = Engine::with_workers(1);
     engine.submit(JobSpec::ideal("ideal", config.clone()));
     let single = engine.run(&stream).unwrap();
-    assert_eq!(single.stats.intra_task_workers, 1);
+    assert_eq!(single.stats.workers, 1);
     assert_eq!(
         sharded.jobs[0].estimation().copy_estimates,
         single.jobs[0].estimation().copy_estimates
@@ -226,15 +215,14 @@ fn engine_jobs_match_direct_runs_and_report_throughput() {
     assert_eq!(report.jobs[3].estimation().estimate, direct_exact.estimate);
 
     // Throughput accounting counts *physical* snapshot traversals: the
-    // five main copies and 4 ideal copies share one fused cohort whose 6
-    // sweeps serve everyone (the ideal members ride the first 3 and then
-    // retire), plus 1 oracle stats pass and the two baselines' passes,
-    // all over m edges.
+    // five main copies share one six-pass cohort (6 sweeps), the 4 ideal
+    // copies one three-pass cohort (3 sweeps), plus 1 oracle stats pass
+    // and the two baselines' passes, all over m edges.
     let baseline_passes = (direct_triest.passes + direct_exact.passes) as u64;
-    let expected_sweeps = (6 + 1) as u64 + baseline_passes;
+    let expected_sweeps = (6 + 3 + 1) as u64 + baseline_passes;
     assert_eq!(report.stats.sweeps_executed, expected_sweeps);
     assert_eq!(report.stats.edges_streamed, expected_sweeps * m as u64);
-    assert_eq!(report.stats.fused_cohorts, 1);
+    assert_eq!(report.stats.fused_cohorts, 2);
     assert_eq!(report.stats.tasks, 5 + 4 + 2);
     assert!(report.stats.edges_per_second > 0.0);
     assert!(report.stats.worker_utilization > 0.0);

@@ -40,15 +40,17 @@ pub enum Counter {
     /// Faults fired by an installed fault-injection plan (always 0 without
     /// the `fault-inject` feature).
     FaultsInjected,
-    /// Shared sweeps executed by fused cohorts (one sweep serves every
-    /// cohort member; subset of [`Counter::SweepsExecuted`]).
+    /// Shared sweeps executed by the cohort driver (one sweep serves every
+    /// cohort member; retried one-member cohorts included; subset of
+    /// [`Counter::SweepsExecuted`]).
     FusedSweeps,
-    /// Sweeps executed by per-copy tasks (including the dynamic stats
-    /// pass; `SweepsExecuted - FusedSweeps`).
+    /// Sweeps outside the cohort driver: baseline passes and the oracle
+    /// stats pass (`SweepsExecuted - FusedSweeps`).
     PerCopySweeps,
-    /// Measured shard-nanoseconds spent inside fused cohort sweeps.
+    /// Measured shard-nanoseconds spent inside cohort sweeps and retries.
     FusedBusyNanos,
-    /// Measured nanoseconds spent inside per-copy task bodies.
+    /// Measured nanoseconds outside the cohort driver: baseline task bodies
+    /// and the serial set-up before the cohorts form.
     PerCopyBusyNanos,
     /// Retry attempts executed for failed copies (each re-execution of
     /// one copy counts once, successful or not).
@@ -133,7 +135,7 @@ pub enum Span {
     PlanBuild,
     /// One shared sweep of a fused cohort (all copies, all shards).
     FusedSweep,
-    /// One task on the per-copy tier, queue-claim to completion.
+    /// One baseline task, queue-claim to completion.
     PerCopyTask,
     /// The shared pre-pass computing stream statistics for oracle jobs.
     StatsPass,
@@ -181,7 +183,7 @@ pub enum Hist {
     PassNanos,
     /// Busy nanoseconds of one shard's fold within a sharded pass.
     ShardNanos,
-    /// Busy nanoseconds of one per-copy task.
+    /// Busy nanoseconds of one baseline task.
     TaskNanos,
     /// Per-job latency from submission to run completion.
     JobLatencyNanos,

@@ -139,8 +139,8 @@ struct QueueState<'env> {
 /// to the front (they block a coordinator, so they are latency-critical),
 /// and every worker — including the coordinator between its own sweeps —
 /// claims from the same deque. This is what lets a fused cohort's sweeps
-/// overlap with straggler per-copy tasks instead of running as two
-/// serialized phases.
+/// overlap with straggler coarse tasks (the engine's baseline jobs)
+/// instead of running as two serialized phases.
 pub struct WorkQueue<'env> {
     state: Mutex<QueueState<'env>>,
     ready: Condvar,

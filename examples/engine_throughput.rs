@@ -1,16 +1,16 @@
 //! Engine throughput: the Table-1 (E1-style) job batch at increasing worker
-//! counts over one shared graph snapshot, plus a sharded-vs-copy-only
-//! scheduling comparison.
+//! counts over one shared graph snapshot, plus a narrow job on one worker
+//! and on many.
 //!
 //! Generates a preferential-attachment graph with ≥ 10^5 edges, submits the
 //! paper's estimator plus a spread of baselines as one engine job batch,
 //! and reports wall time, streaming throughput, worker utilization and the
 //! speedup over the single-worker run. A second section runs a *narrow*
-//! job (fewer copies than workers) twice — once restricted to copy-level
-//! parallelism, once with intra-copy sharded passes — and reports both
-//! edges/sec. Estimates are bit-identical across worker counts and
-//! scheduling modes (asserted below) — the engine's contract is that
-//! scheduling changes wall-clock time only.
+//! job (fewer copies than workers) twice — on one worker, and on the whole
+//! pool, where its cohort's sweeps shard across every worker — and reports
+//! both edges/sec. Estimates are bit-identical across worker counts
+//! (asserted below) — the engine's contract is that scheduling changes
+//! wall-clock time only.
 //!
 //!   cargo run --release --example engine_throughput
 //!   WORKERS=8 cargo run --release --example engine_throughput   # extend the sweep
@@ -108,10 +108,10 @@ fn main() {
             base_wall / s.wall_seconds.max(1e-12)
         );
     }
-    // ---- Sharded vs copy-only scheduling of a narrow job. ----------------
-    // Two copies on `max_workers` workers: copy-level parallelism can use
-    // at most two of them; intra-copy sharding folds the spare workers into
-    // the order-insensitive passes instead.
+    // ---- A narrow job on one worker and on the whole pool. ---------------
+    // Two copies on `max_workers` workers: copy-level parallelism could use
+    // at most two of them; the cohort's sweeps shard across all of them
+    // instead (every pass is an order-insensitive fold).
     let narrow = EstimatorConfig::builder()
         .epsilon(0.1)
         .kappa(8)
@@ -124,35 +124,32 @@ fn main() {
         .try_build()
         .expect("example configuration is valid");
     let sweep_workers = max_workers.max(4);
-    let run_mode = |sharding: bool| {
-        let mut engine = Engine::new(
-            EngineConfig::builder()
-                .workers(sweep_workers)
-                .intra_task_sharding(sharding)
-                .try_build()
-                .expect("example engine configuration is valid"),
-        );
+    let run_narrow = |workers: usize| {
+        let mut engine = Engine::new(EngineConfig::with_workers(workers));
         engine.submit(JobSpec::main("narrow six-pass", narrow.clone()));
         engine.run(&stream).expect("engine run succeeds")
     };
-    let copy_only = run_mode(false);
-    let sharded = run_mode(true);
+    let single = run_narrow(1);
+    let pooled = run_narrow(sweep_workers);
     assert_eq!(
-        copy_only.jobs[0].estimation().estimate.to_bits(),
-        sharded.jobs[0].estimation().estimate.to_bits(),
-        "sharded scheduling must be bit-identical to copy-only"
+        single.jobs[0].estimation().estimate.to_bits(),
+        pooled.jobs[0].estimation().estimate.to_bits(),
+        "sharded sweeps must be bit-identical to unsharded ones"
     );
-    println!("\nsharded vs copy-only (2 copies on {sweep_workers} workers):");
-    for (mode, report) in [("copy-only", &copy_only), ("sharded", &sharded)] {
+    println!("\nnarrow job (2 copies), 1 vs {sweep_workers} workers:");
+    for report in [&single, &pooled] {
         let s = &report.stats;
         println!(
-            "  {mode:<10} wall {:>6.3}s  {:>11.0} edges/s  intra-copy workers {}",
-            s.wall_seconds, s.edges_per_second, s.intra_task_workers
+            "  {:>2} worker(s)  wall {:>6.3}s  {:>11.0} edges/s  {:>4.0}% utilization",
+            s.workers,
+            s.wall_seconds,
+            s.edges_per_second,
+            100.0 * s.worker_utilization
         );
     }
 
     let cores = degentri::engine::config::available_workers();
     println!(
-        "\n(measured on {cores} available core(s); speedup tracks min(workers, cores, runnable tasks),\n and intra-copy sharding needs spare physical cores to show a wall-clock win)"
+        "\n(measured on {cores} available core(s); speedup tracks min(workers, cores),\n and sharded sweeps need spare physical cores to show a wall-clock win)"
     );
 }

@@ -108,9 +108,9 @@
 //! partitions the snapshot into contiguous, order-preserving shards; the
 //! passes run shard-parallel, with per-shard accumulators merged in shard
 //! order — bit-identical results at any shard or worker count. The engine
-//! does this automatically whenever it has more workers than runnable
-//! copies (see [`EngineConfig`](engine::EngineConfig)'s
-//! `intra_task_sharding`); it is also available directly:
+//! shards every cohort sweep across its whole worker pool (see
+//! [`EngineConfig`](engine::EngineConfig)'s `workers`); sharding is also
+//! available directly, one copy at a time:
 //!
 //! ```
 //! use degentri::core::MainEstimator;
@@ -179,10 +179,11 @@
 //! Insert/delete workloads run through the same engine: a
 //! [`DynamicMemoryStream`] snapshot is shared across every submitted
 //! `JobSpec::dynamic` job (no re-snapshotting between jobs). The
-//! turnstile estimator's sketch folds are linear, so spare workers shard
-//! each copy's passes over a [`ShardedDynamicStream`] view, and results
-//! are bit-identical to the standalone `degentri::dynamic` estimator at
-//! any worker count:
+//! turnstile estimator's sketch folds are linear, so the turnstile
+//! cohort's sweeps shard across the worker pool (a
+//! [`ShardedDynamicStream`] view does the same for one standalone copy),
+//! and results are bit-identical to the standalone `degentri::dynamic`
+//! estimator at any worker count:
 //!
 //! ```
 //! use degentri::dynamic::{DynamicEstimatorConfig, DynamicTriangleEstimator};
@@ -217,15 +218,15 @@
 //!
 //! # Quickstart: fused sweep execution
 //!
-//! The engine runs estimator jobs **fused** by default: every copy of
-//! every compatible job exposes its passes as resumable stage objects
+//! The engine runs every estimator copy **fused**: each estimator kind's
+//! copies form one cohort of resumable stage objects
 //! (`begin_pass → fold → finish_pass`), and the scheduler executes each
 //! pass stage as **one** sweep over the snapshot that feeds every copy's
 //! fold — with cohort-level union probe structures, so each edge pays one
 //! lookup for the whole cohort instead of one per copy. A four-copy job
 //! therefore reads the snapshot six times, not twenty-four, and results
-//! stay bit-identical to per-copy scheduling
-//! (`EngineConfig::fused_execution(false)`). One [`Snapshot`] entry point
+//! stay bit-identical to the standalone runner, which reads it once per
+//! copy per pass ([`estimate_triangles`]). One [`Snapshot`] entry point
 //! serves both stream flavors:
 //!
 //! ```
@@ -250,21 +251,16 @@
 //! assert_eq!(fused.stats.fused_cohorts, 1);
 //! assert_eq!(fused.stats.sweeps_executed, 6);
 //!
-//! // Per-copy scheduling reads the snapshot 24 times — and produces
+//! // The standalone runner reads the snapshot 24 times — and produces
 //! // bit-identical estimates.
-//! let mut engine = Engine::new(
-//!     EngineConfig::builder()
-//!         .workers(2)
-//!         .fused_execution(false)
-//!         .try_build()
-//!         .unwrap(),
-//! );
-//! engine.submit(JobSpec::main("wheel", config));
-//! let per_copy = engine.run_snapshot(&snapshot).unwrap();
-//! assert_eq!(per_copy.stats.sweeps_executed, 24);
+//! let per_copy = estimate_triangles(&stream, &config).unwrap();
 //! assert_eq!(
 //!     fused.jobs[0].estimation().copy_estimates,
-//!     per_copy.jobs[0].estimation().copy_estimates,
+//!     per_copy.copy_estimates,
+//! );
+//! assert_eq!(
+//!     fused.jobs[0].estimation().estimate.to_bits(),
+//!     per_copy.estimate.to_bits(),
 //! );
 //! ```
 //!
