@@ -2,10 +2,10 @@
 //! prints the paper-shaped tables.
 //!
 //! Multi-copy estimations execute through the parallel engine
-//! (`degentri-engine`): E1 submits every algorithm on a graph as one
-//! concurrent job batch, and the other estimator experiments run their
-//! copies on the engine's worker pool. Estimates are bit-identical to the
-//! sequential runner at any worker count.
+//! (`degentri-engine`): E1 runs the paper's estimator as an engine job and
+//! the baselines side by side on a worker pool, and the other estimator
+//! experiments run their copies on the engine's worker pool. Estimates are
+//! bit-identical to the sequential runner at any worker count.
 //!
 //! Usage:
 //!   cargo run --release -p degentri-bench --bin harness            # all experiments

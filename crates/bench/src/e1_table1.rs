@@ -15,15 +15,14 @@
 //! isolates what the degeneracy parameter buys: on the standard suite at
 //! scale 1 ours retains 1.6–6.6× fewer words per copy than it.
 //!
-//! All algorithms on one graph are submitted to a single
-//! [`degentri_engine::Engine`] and executed concurrently over the shared
-//! snapshot — the Table-1 comparison doubles as the engine's mixed-workload
-//! exercise.
+//! On each graph the paper's estimator runs as one
+//! [`degentri_engine::Engine`] job, and the seven baselines run side by
+//! side on a worker pool ([`run_indexed_pool`]) over the same snapshot.
 
 use degentri_baselines::*;
 use degentri_engine::{Engine, EngineConfig, JobSpec};
 use degentri_gen::NamedGraph;
-use degentri_stream::{MemoryStream, StreamOrder};
+use degentri_stream::{run_indexed_pool, MemoryStream, StreamOrder};
 
 use crate::common::{engine_workers, experiment_config, fmt, graph_facts};
 
@@ -89,27 +88,36 @@ pub fn run(scale: usize, seed: u64) -> Vec<Row> {
             Box::new(ExactStreamCounter::new()),
         ];
 
-        // One engine run per graph: the paper's estimator plus every
-        // baseline execute concurrently over the shared snapshot.
-        let mut engine = Engine::new(EngineConfig::with_workers(engine_workers()));
-        let mut labels: Vec<(String, String)> = vec![("this paper (6-pass)".into(), "mk/T".into())];
+        // The paper's estimator as one engine job, then the baselines side
+        // by side over the same snapshot.
+        let workers = engine_workers();
+        let mut engine = Engine::new(EngineConfig::with_workers(workers));
         let config = experiment_config(facts.degeneracy, t_hint, seed);
         engine.submit(JobSpec::main(name.clone(), config));
-        for b in baselines {
-            labels.push((b.name().into(), b.space_bound().into()));
-            engine.submit(JobSpec::baseline(b.name(), b));
-        }
-        let report = engine.run(&stream).expect("E1 jobs are valid");
-        for (job, (algorithm, bound)) in report.jobs.iter().zip(labels) {
+        let report = engine.run(&stream).expect("E1 job is valid");
+        let ours = report.jobs[0].estimation();
+        rows.push(Row {
+            graph: name.clone(),
+            algorithm: "this paper (6-pass)".into(),
+            bound: "mk/T".into(),
+            estimate: ours.estimate,
+            relative_error: ours.relative_error(exact),
+            passes: ours.passes_per_copy,
+            copies: ours.copies,
+            space_words: ours.space.peak_words,
+        });
+        let outcomes =
+            run_indexed_pool(workers, baselines.len(), |i| baselines[i].estimate(&stream));
+        for (b, outcome) in baselines.iter().zip(outcomes) {
             rows.push(Row {
                 graph: name.clone(),
-                algorithm,
-                bound,
-                estimate: job.estimation().estimate,
-                relative_error: job.estimation().relative_error(exact),
-                passes: job.estimation().passes_per_copy,
-                copies: job.estimation().copies,
-                space_words: job.estimation().space.peak_words,
+                algorithm: b.name().into(),
+                bound: b.space_bound().into(),
+                estimate: outcome.estimate,
+                relative_error: outcome.relative_error(exact),
+                passes: outcome.passes,
+                copies: 1,
+                space_words: outcome.space.peak_words,
             });
         }
     }

@@ -41,7 +41,7 @@ pub const ENABLED: bool = cfg!(feature = "fault-inject");
 /// injection machinery itself is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// Starting a baseline task or a retry attempt, before any work.
+    /// Starting a retry attempt, before any work.
     TaskStart,
     /// A fused-cohort pass boundary, before the sweep for that pass runs.
     PassBoundary,

@@ -9,7 +9,7 @@ use std::sync::Arc;
 ///
 /// Cancellation is **cooperative**: the engine checks the token at pass
 /// boundaries (and at chunk boundaries inside cohort sweeps, and before
-/// each baseline task and retry attempt) and fails the jobs still in flight
+/// each retry attempt) and fails the jobs still in flight
 /// with [`EngineError::Cancelled`](crate::EngineError::Cancelled),
 /// carrying the number of passes each had completed. Work already
 /// finished is unaffected; the snapshot is never left mid-mutation

@@ -17,8 +17,7 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of worker threads (at least 1). Cohort sweeps shard across
-    /// all of them; a run without estimator copies caps the pool at its
-    /// baseline count.
+    /// all of them.
     pub workers: usize,
     /// Edges delivered per chunk by the batched pass API (at least 1).
     pub batch_size: usize,
@@ -92,11 +91,6 @@ impl EngineConfig {
             }
         }
         Ok(())
-    }
-
-    /// The worker count actually used for `tasks` runnable tasks.
-    pub(crate) fn effective_workers(&self, tasks: usize) -> usize {
-        self.workers.clamp(1, tasks.max(1))
     }
 }
 
@@ -177,9 +171,6 @@ mod tests {
     fn worker_counts_are_clamped() {
         assert_eq!(EngineConfig::with_workers(0).workers, 1);
         assert_eq!(EngineConfig::with_workers(8).workers, 8);
-        assert_eq!(EngineConfig::with_workers(8).effective_workers(3), 3);
-        assert_eq!(EngineConfig::with_workers(2).effective_workers(100), 2);
-        assert_eq!(EngineConfig::with_workers(2).effective_workers(0), 1);
         assert!(EngineConfig::default().workers >= 1);
         assert_eq!(EngineConfig::default().batch_size, DEFAULT_BATCH_SIZE);
         assert!(!EngineConfig::default().recording);

@@ -26,11 +26,11 @@ pub enum EngineError {
         /// Human-readable description of the mismatch.
         reason: String,
     },
-    /// One of the job's tasks panicked. The panic was caught at the task
-    /// (or cohort-pass) boundary, the worker that caught it survived, and
-    /// every other job ran to completion unperturbed.
+    /// One of the job's copies panicked. The panic was caught at the
+    /// shard or cohort-pass boundary, the worker that caught it survived,
+    /// and every other job ran to completion unperturbed.
     Panicked {
-        /// Index of the baseline task or cohort member that unwound.
+        /// Index of the cohort member that unwound.
         task: usize,
         /// The panic payload rendered as text, when it was a string.
         payload: String,
@@ -39,16 +39,16 @@ pub enum EngineError {
     /// finished; the job was cut at a pass/task boundary.
     DeadlineExceeded {
         /// Shared passes this job's copies had fully completed when the
-        /// deadline fired (0 when a baseline task or a retry attempt was
-        /// cut before it started).
+        /// deadline fired (0 when a retry attempt was cut before it
+        /// started).
         completed_passes: usize,
     },
     /// The run's [`CancelToken`](crate::CancelToken) fired while this job
     /// was still in flight.
     Cancelled {
         /// Shared passes this job's copies had fully completed when
-        /// cancellation was observed (0 when a baseline task or a retry
-        /// attempt was cut before it started).
+        /// cancellation was observed (0 when a retry attempt was cut
+        /// before it started).
         completed_passes: usize,
     },
 }

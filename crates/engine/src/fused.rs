@@ -32,7 +32,7 @@ use degentri_core::{
 use degentri_dynamic::{DynamicCohortPlan, DynamicCopyStages, DynamicStageAcc};
 use degentri_graph::Edge;
 use degentri_obs::{Counter, Hist, Recorder, ShardReport, Span};
-use degentri_stream::{EdgeUpdate, QueueScope, ShardedSnapshot, StreamStats, TaskResult};
+use degentri_stream::{run_indexed_pool_caught, EdgeUpdate, ShardedSnapshot, StreamStats};
 
 use crate::cancel::CancelToken;
 use crate::{EngineError, Result};
@@ -50,7 +50,8 @@ pub(crate) struct PassTrace {
     pub plan_nanos: u64,
     /// Nanoseconds of the fused sweep (fold + shard merge hand-off).
     pub sweep_nanos: u64,
-    /// Per-shard items and busy time; one synthetic shard when unsharded.
+    /// Per-shard items and busy time; one whole-snapshot shard when the
+    /// pass ran copy by copy.
     pub shards: Vec<ShardReport>,
 }
 
@@ -297,51 +298,10 @@ impl<'o> StagedCopy for IdealCopyStages<'o, StreamStats> {
     }
 }
 
-/// The sweep-execution substrate of the cohort driver: where a sharded
-/// sweep's per-shard closures actually run. The engine's single work queue
-/// ([`QueueScope`]) implements it by pushing the shards to the front of
-/// the shared queue — cohort sweeps and baseline jobs then interleave on
-/// one worker pool instead of draining in separate phases.
-pub(crate) trait SweepPool {
-    /// Runs `count` indexed shard closures to completion and returns each
-    /// shard's outcome (panics caught per shard) and busy nanoseconds, in
-    /// shard order.
-    fn sweep_shards<T, F>(&mut self, count: usize, fold: F) -> Vec<(TaskResult<T>, u64)>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync;
-}
-
-impl SweepPool for QueueScope<'_, '_> {
-    fn sweep_shards<T, F>(&mut self, count: usize, fold: F) -> Vec<(TaskResult<T>, u64)>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        QueueScope::run_shards(self, count, fold)
-    }
-}
-
-/// The inline substrate: every shard runs on the calling thread, under
-/// the same per-shard panic boundary the queued pool provides. The retry
-/// layer drives its one-member cohorts on the coordinator through it.
-pub(crate) struct InlineSweeps;
-
-impl SweepPool for InlineSweeps {
-    fn sweep_shards<T, F>(&mut self, count: usize, fold: F) -> Vec<(TaskResult<T>, u64)>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        (0..count)
-            .map(|s| {
-                let started = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| fold(s)));
-                (result, started.elapsed().as_nanos() as u64)
-            })
-            .collect()
-    }
-}
+/// How many shards each sweep worker gets to claim: a few shards per
+/// worker smooths out load imbalance from uneven chunk costs without
+/// shrinking shards below useful sizes.
+pub(crate) const SHARDS_PER_WORKER: usize = 4;
 
 /// Re-nests shard-major accumulators (`per_shard[s][k]`) into copy-major
 /// (`per_copy[k][s]`), preserving shard order within each copy — the
@@ -404,6 +364,11 @@ pub(crate) struct CohortOutcome {
     /// per-shard fold times in the sharded arms, sweep wall time in the
     /// serial arms — the cohort side of the engine's busy-time split.
     pub busy_nanos: u64,
+    /// Shards each sharded sweep was cut into: the snapshot partition's
+    /// actual count, which is smaller than the requested
+    /// `workers × SHARDS_PER_WORKER` on short snapshots, and 1 on one
+    /// worker.
+    pub shards: usize,
 }
 
 /// Whether `group` already failed during the current pass.
@@ -552,11 +517,12 @@ fn finish_copy_caught<C: StagedCopy>(
 
 /// Executes one cohort of staged copies over a shared snapshot slice:
 /// while any copy has passes left, run **one sweep** that feeds every
-/// unfinished copy's fold chunk by chunk — sharded across `workers` scoped
-/// threads (over `shards` contiguous shards) when `workers > 1`. Unsharded
-/// passes without shared probes ([`StagedCopy::shares_probes`] = `false`)
-/// drive each sweep copy-at-a-time instead, keeping one copy's pass state
-/// live at a time.
+/// unfinished copy's fold chunk by chunk — cut into `workers ×`
+/// [`SHARDS_PER_WORKER`] contiguous shards run on `workers` threads (the
+/// calling thread plus scoped helpers, [`run_indexed_pool_caught`]), or
+/// one whole-snapshot shard run inline on one worker. On one worker, passes without shared probes
+/// ([`StagedCopy::shares_probes`] = `false`) drive each sweep
+/// copy-at-a-time instead, keeping one copy's pass state live at a time.
 ///
 /// ## Failure containment
 ///
@@ -594,7 +560,7 @@ fn finish_copy_caught<C: StagedCopy>(
 /// All copies of a cohort have the same pass budget, so survivors stay in
 /// lockstep and, absent failures, the sweep count equals that budget.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
+pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder>(
     copies: &mut Vec<C>,
     meta: &mut Vec<CohortMemberMeta>,
     cancel: &CancelToken,
@@ -602,15 +568,22 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
     items: &[C::Item],
     batch: usize,
     workers: usize,
-    shards: usize,
     recorder: &R,
-    lane: usize,
     trace: &mut Vec<PassTrace>,
-    pool: &mut P,
 ) -> CohortOutcome {
     debug_assert_eq!(copies.len(), meta.len());
-    let mut outcome = CohortOutcome::default();
+    let workers = workers.max(1);
     let batch = batch.max(1);
+    let requested = if workers > 1 {
+        workers * SHARDS_PER_WORKER
+    } else {
+        1
+    };
+    let view: ShardedSnapshot<'_, C::Item> = ShardedSnapshot::new(num_vertices, items, requested);
+    let mut outcome = CohortOutcome {
+        shards: view.shards(),
+        ..CohortOutcome::default()
+    };
     // Cohort copies share a pass budget, so they run in lockstep: every
     // sweep advances every surviving copy by one pass.
     while copies.iter().any(|c| !c.finished()) {
@@ -686,9 +659,8 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
         // probes); `Some(per-copy fold results)` otherwise, finished below
         // once the sweep clock stops.
         let mut copy_busy_nanos = 0u64;
-        let per_copy: Option<Vec<std::thread::Result<Vec<C::Acc>>>> = if !C::shares_probes(pass)
-            && workers <= 1
-        {
+        let copy_at_a_time = !C::shares_probes(pass) && workers == 1;
+        let per_copy: Option<Vec<std::thread::Result<Vec<C::Acc>>>> = if copy_at_a_time {
             // Independent copies (no shared plan): drive them one at a
             // time — begin, fold the whole slice, finish — so only one
             // copy's pass state is live at once. Each copy's pass time
@@ -724,95 +696,59 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
             }
             None
         } else {
-            let shared: Option<Vec<Vec<C::Acc>>> = if workers > 1 {
-                let view: ShardedSnapshot<'_, C::Item> =
-                    ShardedSnapshot::new(num_vertices, items, shards.max(1));
-                let copies_ref: &[C] = copies;
-                let plan_ref = &plan;
-                let fold = |s: usize| {
-                    let slice = view.shard(s);
-                    let mut accs: Vec<C::Acc> = copies_ref.iter().map(|c| c.begin_pass()).collect();
-                    let mut scratch = C::Scratch::default();
-                    let mut pos = view.shard_range(s).start as u64;
-                    let batch = C::cohort_batch(batch, slice.len()).max(1);
-                    for chunk in slice.chunks(batch) {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        C::fold_cohort(plan_ref, copies_ref, &mut accs, &mut scratch, pos, chunk);
-                        pos += chunk.len() as u64;
+            let copies_ref: &[C] = copies;
+            // Each shard folds its slice into fresh accumulators under its
+            // own panic boundary and times itself. Any shard panic discards
+            // the sweep and drops to the per-copy fallback below, which
+            // isolates the unwinding copy. Sound because folds take
+            // `&self`: an unwound shard leaves the copies untouched — only
+            // its local accumulators (discarded) are torn.
+            let results = run_indexed_pool_caught(workers, view.shards(), |s| {
+                let shard_started = Instant::now();
+                let slice = view.shard(s);
+                let mut accs: Vec<C::Acc> = copies_ref.iter().map(|c| c.begin_pass()).collect();
+                let mut scratch = C::Scratch::default();
+                let mut pos = view.shard_range(s).start as u64;
+                let batch = C::cohort_batch(batch, slice.len()).max(1);
+                for chunk in slice.chunks(batch) {
+                    if cancel.is_cancelled() {
+                        break;
                     }
-                    accs
-                };
-                // The shard closures run on the shared pool (interleaved
-                // with any queued baseline jobs); panics are caught per
-                // shard, so an unwound shard keeps the other shards' work
-                // and the engine thread alive. Any shard panic discards the
-                // sweep and drops to the per-copy fallback below, which
-                // isolates the unwinding copy. Sound because folds take
-                // `&self`: an unwound shard leaves the copies untouched —
-                // only its local accumulators (discarded) and the partial
-                // shard reports (cleared) are torn.
-                let results = pool.sweep_shards(view.shards(), fold);
+                    C::fold_cohort(&plan, copies_ref, &mut accs, &mut scratch, pos, chunk);
+                    pos += chunk.len() as u64;
+                }
+                (accs, shard_started.elapsed().as_nanos() as u64)
+            });
+            if results.iter().all(|r| r.is_ok()) {
                 let mut per_shard = Vec::with_capacity(results.len());
-                let mut panicked = false;
-                for (s, (result, nanos)) in results.into_iter().enumerate() {
-                    match result {
-                        Ok(accs) => {
-                            copy_busy_nanos += nanos;
-                            if R::ENABLED {
-                                shard_reports.push(ShardReport {
-                                    items: view.shard(s).len() as u64,
-                                    nanos,
-                                });
-                            }
-                            per_shard.push(accs);
-                        }
-                        Err(_) => panicked = true,
+                for (s, (accs, nanos)) in results.into_iter().flatten().enumerate() {
+                    copy_busy_nanos += nanos;
+                    if R::ENABLED {
+                        shard_reports.push(ShardReport {
+                            items: view.shard(s).len() as u64,
+                            nanos,
+                        });
                     }
+                    per_shard.push(accs);
                 }
-                if panicked {
-                    shard_reports.clear();
-                    copy_busy_nanos = 0;
-                    None
-                } else {
-                    Some(transpose(per_shard, copies.len()))
-                }
+                Some(
+                    transpose(per_shard, copies.len())
+                        .into_iter()
+                        .map(Ok)
+                        .collect(),
+                )
             } else {
-                let copies_ref: &[C] = copies;
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let mut accs: Vec<C::Acc> = copies_ref.iter().map(|c| c.begin_pass()).collect();
-                    let mut scratch = C::Scratch::default();
-                    let mut pos = 0u64;
-                    let batch = C::cohort_batch(batch, items.len()).max(1);
-                    for chunk in items.chunks(batch) {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        C::fold_cohort(&plan, copies_ref, &mut accs, &mut scratch, pos, chunk);
-                        pos += chunk.len() as u64;
-                    }
-                    accs
-                }));
-                attempt
-                    .ok()
-                    .map(|accs| accs.into_iter().map(|acc| vec![acc]).collect())
-            };
-            match shared {
-                Some(per_copy) => Some(per_copy.into_iter().map(Ok).collect()),
-                None => {
-                    // The shared sweep panicked somewhere in the cohort
-                    // fold. Re-execute the pass copy by copy to isolate the
-                    // unwinding copy; survivors reproduce their fused
-                    // accumulators bit for bit (deterministic `&self`
-                    // folds), so containment never perturbs them.
-                    Some(
-                        copies
-                            .iter()
-                            .map(|c| fold_copy_caught(c, batch, items, cancel).map(|a| vec![a]))
-                            .collect(),
-                    )
-                }
+                // The shared sweep panicked somewhere in the cohort fold.
+                // Re-execute the pass copy by copy to isolate the unwinding
+                // copy; survivors reproduce their fused accumulators bit
+                // for bit (deterministic `&self` folds), so containment
+                // never perturbs them.
+                Some(
+                    copies
+                        .iter()
+                        .map(|c| fold_copy_caught(c, batch, items, cancel).map(|a| vec![a]))
+                        .collect(),
+                )
             }
         };
         drop(plan);
@@ -853,18 +789,19 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
             }
         }
         if R::ENABLED {
-            if workers <= 1 && shard_reports.is_empty() {
-                // Unsharded sweeps report one synthetic whole-stream shard
-                // so the report shape is uniform.
+            if shard_reports.is_empty() {
+                // A pass that ran copy by copy (the copy-at-a-time arm or
+                // the panic fallback) reports one whole-snapshot shard, so
+                // every pass carries at least one.
                 shard_reports.push(ShardReport {
                     items: items.len() as u64,
                     nanos,
                 });
             }
-            recorder.add(lane, Counter::SweepsExecuted, 1);
-            recorder.span(lane, Span::PlanBuild, plan_nanos);
-            recorder.span(lane, Span::FusedSweep, nanos);
-            recorder.observe(lane, Hist::PassNanos, nanos);
+            recorder.add(0, Counter::SweepsExecuted, 1);
+            recorder.span(0, Span::PlanBuild, plan_nanos);
+            recorder.span(0, Span::FusedSweep, nanos);
+            recorder.observe(0, Hist::PassNanos, nanos);
             for (s, shard) in shard_reports.iter().enumerate() {
                 recorder.observe(s, Hist::ShardNanos, shard.nanos);
             }
@@ -876,9 +813,9 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
             });
         }
         outcome.sweeps += 1;
-        // Sharded and copy-at-a-time arms measured their busy time
-        // directly; the single-threaded shared arms (and the per-copy
-        // fallback, which re-folds inline) are wall = busy.
+        // The sharded and copy-at-a-time arms measured their busy time
+        // directly; the per-copy fallback, which re-folds inline, is
+        // wall = busy.
         outcome.busy_nanos += if copy_busy_nanos > 0 {
             copy_busy_nanos
         } else {
@@ -887,27 +824,4 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
         resolve_failures(copies, meta, &mut outcome, pass_failures);
     }
     outcome
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn inline_sweeps_preserves_shard_order_and_contains_panics() {
-        let mut pool = InlineSweeps;
-        let out = pool.sweep_shards(5, |s| {
-            assert!(s != 3, "shard 3 exploded");
-            s * 10
-        });
-        assert_eq!(out.len(), 5);
-        for (s, (result, _nanos)) in out.iter().enumerate() {
-            match result {
-                Ok(v) => assert_eq!(*v, s * 10),
-                Err(_) => assert_eq!(s, 3),
-            }
-        }
-        // A panicking shard never prevents later shards from running.
-        assert!(out[4].0.is_ok());
-    }
 }

@@ -1,14 +1,9 @@
 //! Job specifications and per-job results.
 
-use std::fmt;
 use std::time::Duration;
 
-use degentri_baselines::{BaselineOutcome, StreamingTriangleCounter};
 use degentri_core::{EstimatorConfig, TriangleEstimation};
 use degentri_dynamic::{DynamicEstimatorConfig, DynamicOutcome};
-
-/// A baseline algorithm boxed for concurrent execution.
-pub type BoxedBaseline = Box<dyn StreamingTriangleCounter + Send + Sync>;
 
 /// Per-job quorum policy gating graceful degradation.
 ///
@@ -76,12 +71,11 @@ pub enum Backoff {
 /// Copy seeds are position-keyed (`RngMode::Counter`), so re-running only
 /// the failed copies is bit-identical to an undisturbed run — retrying
 /// never perturbs results, it only spends time. Retries run on the
-/// coordinator once the cohorts finish, each failed copy driven again as
-/// a one-member cohort; they respect the job deadline and the cancel
+/// calling thread once the cohorts finish, each failed copy driven again
+/// as a one-member cohort; they respect the job deadline and the cancel
 /// token (a retry that cannot fit before the deadline short-circuits
 /// instead of sleeping), and a copy that exhausts its attempts is
 /// quarantined into the degraded path governed by [`QuorumPolicy`].
-/// Baseline jobs are not copy-parallel and are never retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per copy including the original execution (≥ 1;
@@ -144,7 +138,10 @@ pub struct Degradation {
     pub copy_errors: Vec<(usize, crate::EngineError)>,
 }
 
-/// What a job runs.
+/// What a job runs: an estimator whose copies the engine drives as stage
+/// objects. The Table-1 baselines are not engine jobs; callers run them
+/// directly through `degentri_baselines::StreamingTriangleCounter`.
+#[derive(Debug)]
 pub enum JobKind {
     /// The paper's six-pass estimator (Algorithm 2), `config.copies` copies
     /// aggregated by median-of-means.
@@ -152,9 +149,6 @@ pub enum JobKind {
     /// The three-pass ideal (degree-oracle) estimator of Section 4; the
     /// engine builds the degree table once per run and shares it.
     Ideal(EstimatorConfig),
-    /// Any Table-1 baseline through the common
-    /// [`StreamingTriangleCounter`] trait (one task per job).
-    Baseline(BoxedBaseline),
     /// The turnstile (insert/delete) estimator of `degentri-dynamic`,
     /// `config.copies` copies aggregated by their median. Runs over a
     /// shared dynamic snapshot through
@@ -167,7 +161,7 @@ impl JobKind {
     pub fn config(&self) -> Option<&EstimatorConfig> {
         match self {
             JobKind::Main(c) | JobKind::Ideal(c) => Some(c),
-            JobKind::Baseline(_) | JobKind::Dynamic(_) => None,
+            JobKind::Dynamic(_) => None,
         }
     }
 
@@ -186,19 +180,7 @@ impl JobKind {
     pub fn task_count(&self) -> usize {
         match self {
             JobKind::Main(c) | JobKind::Ideal(c) => c.copies,
-            JobKind::Baseline(_) => 1,
             JobKind::Dynamic(c) => c.copies,
-        }
-    }
-}
-
-impl fmt::Debug for JobKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobKind::Main(c) => f.debug_tuple("Main").field(c).finish(),
-            JobKind::Ideal(c) => f.debug_tuple("Ideal").field(c).finish(),
-            JobKind::Baseline(b) => f.debug_tuple("Baseline").field(&b.name()).finish(),
-            JobKind::Dynamic(c) => f.debug_tuple("Dynamic").field(c).finish(),
         }
     }
 }
@@ -247,17 +229,6 @@ impl JobSpec {
         }
     }
 
-    /// A job running a Table-1 baseline.
-    pub fn baseline(label: impl Into<String>, counter: BoxedBaseline) -> Self {
-        JobSpec {
-            label: label.into(),
-            kind: JobKind::Baseline(counter),
-            deadline: None,
-            quorum: QuorumPolicy::default(),
-            retry: None,
-        }
-    }
-
     /// A job running the turnstile (insert/delete) estimator over a shared
     /// dynamic snapshot (execute with
     /// [`Engine::run_dynamic`](crate::Engine::run_dynamic)) — or over a
@@ -295,9 +266,8 @@ impl JobSpec {
 /// The successful payload of a [`JobResult`].
 #[derive(Debug, Clone)]
 pub struct JobOutput {
-    /// The aggregated estimation (for baselines: a single-copy estimation
-    /// carrying the baseline's estimate, passes and space; for turnstile
-    /// jobs: the median-of-copies outcome mapped into the common shape).
+    /// The aggregated estimation (for turnstile jobs: the median-of-copies
+    /// outcome mapped into the common shape).
     pub estimation: TriangleEstimation,
     /// The full turnstile outcome (surviving edges, sketch counts, …) when
     /// this was a [`JobKind::Dynamic`] job; `None` otherwise.
@@ -327,7 +297,7 @@ pub struct JobResult {
     /// (larger than the job's share of wall time when copies overlap;
     /// partial for jobs that failed mid-run).
     pub busy: Duration,
-    /// Number of tasks (copies, or 1 for a baseline) that started.
+    /// Number of estimator copies that started.
     pub tasks: usize,
 }
 
@@ -390,17 +360,6 @@ impl JobResult {
     }
 }
 
-/// Converts a baseline outcome into the engine's common result shape.
-pub(crate) fn baseline_estimation(outcome: &BaselineOutcome) -> TriangleEstimation {
-    TriangleEstimation {
-        estimate: outcome.estimate,
-        copy_estimates: vec![outcome.estimate],
-        passes_per_copy: outcome.passes,
-        space: outcome.space,
-        copies: 1,
-    }
-}
-
 /// Converts a turnstile outcome into the engine's common result shape
 /// (the full outcome also travels on [`JobResult::dynamic`]).
 pub(crate) fn dynamic_estimation(outcome: &DynamicOutcome) -> TriangleEstimation {
@@ -444,24 +403,26 @@ mod tests {
         let config = EstimatorConfig::builder().copies(2).build();
         let job = JobSpec::main("m", config).deadline(Duration::from_millis(250));
         assert_eq!(job.deadline, Some(Duration::from_millis(250)));
-        let plain = JobSpec::baseline("b", Box::new(degentri_baselines::ExactStreamCounter));
+        let plain = JobSpec::dynamic("d", DynamicEstimatorConfig::new(3, 50));
         assert_eq!(plain.deadline, None);
     }
 
     #[test]
     fn job_results_expose_outcomes_and_contained_errors() {
-        let outcome = BaselineOutcome {
+        let estimation = TriangleEstimation {
             estimate: 5.0,
-            passes: 1,
+            copy_estimates: vec![5.0],
+            passes_per_copy: 6,
             space: SpaceReport {
                 peak_words: 1,
                 final_words: 1,
             },
+            copies: 1,
         };
         let ok = JobResult {
             label: "ok".into(),
             outcome: Ok(JobOutput {
-                estimation: baseline_estimation(&outcome),
+                estimation,
                 dynamic: None,
                 degraded: None,
             }),
@@ -526,23 +487,5 @@ mod tests {
         assert_eq!(expo.delay(4), Duration::from_millis(45)); // capped
         assert_eq!(expo.delay(1000), Duration::from_millis(45)); // no overflow
         assert_eq!(RetryPolicy::new(2).delay(1), Duration::ZERO);
-    }
-
-    #[test]
-    fn baseline_outcomes_map_to_single_copy_estimations() {
-        let outcome = BaselineOutcome {
-            estimate: 12.5,
-            passes: 2,
-            space: SpaceReport {
-                peak_words: 7,
-                final_words: 3,
-            },
-        };
-        let est = baseline_estimation(&outcome);
-        assert_eq!(est.estimate, 12.5);
-        assert_eq!(est.copy_estimates, vec![12.5]);
-        assert_eq!(est.passes_per_copy, 2);
-        assert_eq!(est.copies, 1);
-        assert_eq!(est.space.peak_words, 7);
     }
 }

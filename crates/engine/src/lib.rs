@@ -14,10 +14,10 @@
 //!   folded with the same aggregation ([`degentri_core::aggregate_copies`]),
 //!   so the result is bit-identical to [`degentri_core::estimate_triangles`]
 //!   at any worker count.
-//! * [`scheduler`] — job-level concurrency: an [`Engine`] accepts many
-//!   [`JobSpec`]s (main estimator, ideal estimator, or any Table-1
-//!   baseline through its common trait) against one shared graph snapshot
-//!   and executes every copy of every job on one worker pool, returning
+//! * [`scheduler`] — job-level batching: an [`Engine`] accepts many
+//!   [`JobSpec`]s (main, ideal or turnstile estimator) against one shared
+//!   graph snapshot and drives every copy of every job through its kind's
+//!   cohort, whose sweeps shard across the worker pool, returning
 //!   per-job [`degentri_core::TriangleEstimation`]s plus engine-level
 //!   throughput statistics ([`EngineStats`]). Turnstile (insert/delete)
 //!   jobs go through the same scheduler over a shared **dynamic** snapshot:
@@ -52,7 +52,7 @@
 //! assert!(report.stats.edges_per_second > 0.0);
 //! ```
 //!
-//! ## The fusion matrix: every estimator job kind, one pool
+//! ## The fusion matrix: every estimator job kind
 //!
 //! Sweep-sharing ("fused execution") is the only way the engine runs an
 //! estimator copy. Each estimator has exactly one implementation, its
@@ -69,10 +69,12 @@
 //!   — and an edge snapshot serves them too, as an insert-only update
 //!   stream.
 //!
-//! One work queue on one pool schedules the cohorts' sweeps and the
-//! baseline jobs side by side, and [`EngineStats`] splits the accounting
+//! The cohorts run one after another, each sweep sharded across the
+//! `workers` threads, and [`EngineStats`] splits the accounting
 //! (`fused_sweeps` for the cohort driver, `per_copy_sweeps` for the
-//! baselines and the oracle stats pass, busy time likewise). Every cohort
+//! oracle stats pass, busy time likewise). The Table-1 baselines are not
+//! engine jobs: they have no stage object, and callers run them directly.
+//! Every cohort
 //! stays bit-identical to the standalone runners, which drive the same
 //! stage objects one copy at a time — fusion changes what a batch
 //! *costs*, never what any copy computes:

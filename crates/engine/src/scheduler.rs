@@ -1,10 +1,9 @@
 //! The job scheduler: many estimation jobs over one shared snapshot.
 //!
-//! [`Engine::submit`] queues jobs (different ε/κ/seed/algorithm, including
-//! the Table-1 baselines through their common trait and the turnstile
-//! estimator); [`Engine::run_snapshot`] executes every queued job over one
-//! [`Snapshot`] — the enum unifying insert-only edge slices and turnstile
-//! update slices — on a single scoped worker pool. The typed entry points
+//! [`Engine::submit`] queues jobs (six-pass, ideal and turnstile
+//! estimators at any ε/κ/seed); [`Engine::run_snapshot`] executes every
+//! queued job over one [`Snapshot`] — the enum unifying insert-only edge
+//! slices and turnstile update slices. The typed entry points
 //! [`Engine::run`] (edges) and [`Engine::run_dynamic`] (updates) are thin
 //! wrappers that borrow the stream's storage as a `Snapshot`
 //! (materializing one owned copy for exotic streams that do not expose
@@ -18,14 +17,14 @@
 //!   (`begin_pass → fold → finish_pass`). Each pass stage is **one**
 //!   physical sweep over the snapshot that feeds every copy of the cohort
 //!   chunk by chunk, so `passes × copies` traversals collapse into
-//!   `passes`. With more than one worker the sweep is sharded across the
-//!   pool (per-shard accumulators merge in shard order).
+//!   `passes`. With more than one worker the sweep is sharded across
+//!   `workers` threads (per-shard accumulators merge in shard order).
 //! * **Retries** — a failed copy of a retry-enabled job is rebuilt by the
 //!   member constructor cohort formation used and driven again as a
-//!   one-member cohort.
-//! * **Baselines** — the Table-1 baselines have no stage object; each
-//!   runs as one queued job on the same pool, interleaving with the
-//!   cohorts' sweep shards.
+//!   one-member cohort on one worker.
+//!
+//! The Table-1 baselines have no stage object and are not engine jobs;
+//! callers run them directly.
 //!
 //! Copies use the standalone runners' per-copy seeds ([`main_copy_seed`] /
 //! [`ideal_copy_seed`] / [`dynamic_copy_seed`]) and the same stage
@@ -35,10 +34,8 @@
 //! change.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use degentri_baselines::BaselineOutcome;
 use degentri_core::faults;
 use degentri_core::{
     ideal_copy_seed, main_copy_seed, validate_edges, CopyContribution, EstimatorError,
@@ -54,25 +51,19 @@ use degentri_obs::{
     Recorder, RunReport, Span,
 };
 use degentri_stream::{
-    run_queued, DynamicEdgeStream, EdgeStream, EdgeUpdate, ShardedStream, Snapshot, StreamStats,
+    DynamicEdgeStream, EdgeStream, EdgeUpdate, ShardedStream, Snapshot, StreamStats,
 };
 
 use crate::cancel::CancelToken;
 use crate::config::EngineConfig;
 use crate::fused::{
-    drive_cohort, CohortMemberMeta, CohortOutcome, InlineSweeps, PassTrace, StagedCopy, SweepPool,
+    drive_cohort, CohortMemberMeta, CohortOutcome, PassTrace, StagedCopy, SHARDS_PER_WORKER,
 };
 use crate::job::{
-    baseline_estimation, dynamic_estimation, Degradation, JobKind, JobOutput, JobResult, JobSpec,
-    RetryPolicy,
+    dynamic_estimation, Degradation, JobKind, JobOutput, JobResult, JobSpec, RetryPolicy,
 };
 use crate::stats::{EngineStats, RecoveryTotals};
 use crate::{EngineError, Result};
-
-/// How many shards each fused-sweep worker gets to claim: a few shards
-/// per worker smooths out load imbalance from uneven chunk costs without
-/// shrinking shards below useful sizes.
-const SHARDS_PER_WORKER: usize = 4;
 
 /// A parallel, batched estimation engine over a shared stream snapshot.
 ///
@@ -123,13 +114,8 @@ pub struct EngineReport {
     pub run_report: Option<RunReport>,
 }
 
-/// One queued baseline job's result slot, filled exactly once by the
-/// worker that claims it: the caught (panic-contained) outcome — `Err`
-/// when a cut check stopped it before running — plus its busy time.
-type BaselineSlot = Mutex<Option<std::thread::Result<(Result<BaselineOutcome>, Duration)>>>;
-
-/// Per-job bookkeeping of one run, filled by the baseline tasks, the
-/// cohorts and the retry layer, and drained into the [`JobResult`]s.
+/// Per-job bookkeeping of one run, filled by the cohorts and the retry
+/// layer, and drained into the [`JobResult`]s.
 struct Ledger {
     /// First job-level error (deterministic order: later errors for the
     /// same job are dropped).
@@ -141,7 +127,6 @@ struct Ledger {
     contributions: Vec<Vec<(usize, CopyContribution)>>,
     /// Finished turnstile copies, keyed by copy index.
     dyn_contributions: Vec<Vec<(usize, DynamicCopyOutcome)>>,
-    baseline_outcomes: Vec<Option<BaselineOutcome>>,
     busy: Vec<Duration>,
     tasks: Vec<usize>,
 }
@@ -153,7 +138,6 @@ impl Ledger {
             copy_errors: (0..jobs).map(|_| Vec::new()).collect(),
             contributions: (0..jobs).map(|_| Vec::new()).collect(),
             dyn_contributions: (0..jobs).map(|_| Vec::new()).collect(),
-            baseline_outcomes: (0..jobs).map(|_| None).collect(),
             busy: vec![Duration::ZERO; jobs],
             tasks: vec![0; jobs],
         }
@@ -169,7 +153,7 @@ fn fail_job(errors: &mut [Option<EngineError>], job: usize, error: EngineError) 
 }
 
 /// The typed error of an injected task-start fault on a six-pass or ideal
-/// copy, or on a baseline.
+/// copy.
 fn estimator_task_start_error() -> EngineError {
     EngineError::Estimator(EstimatorError::Injected {
         site: faults::FaultSite::TaskStart,
@@ -368,17 +352,14 @@ impl<C: CopyKind> Cohort<C> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn drive<R: Recorder, P: SweepPool>(
+    fn drive<R: Recorder>(
         &mut self,
         cancel: &CancelToken,
         num_vertices: usize,
         items: &[C::Item],
         batch: usize,
         workers: usize,
-        shards: usize,
         recorder: &R,
-        pool: &mut P,
     ) {
         self.outcome = drive_cohort(
             &mut self.copies,
@@ -388,11 +369,8 @@ impl<C: CopyKind> Cohort<C> {
             items,
             batch,
             workers,
-            shards,
             recorder,
-            0,
             &mut self.trace,
-            pool,
         );
     }
 
@@ -406,7 +384,6 @@ impl<C: CopyKind> Cohort<C> {
         totals: &mut DriverTotals,
         record: bool,
         workers: usize,
-        shards: usize,
     ) -> Option<CohortReport> {
         let Cohort {
             copies,
@@ -447,7 +424,7 @@ impl<C: CopyKind> Cohort<C> {
                 label: C::LABEL.to_string(),
                 copies: joined.len(),
                 workers,
-                shards,
+                shards: outcome.shards,
                 formation_nanos,
                 passes: pass_reports(&trace, C::PASS_NAMES, &tallies),
             }
@@ -495,9 +472,9 @@ fn finish_members<C: CopyKind>(copies: Vec<C>, meta: &[CohortMemberMeta], ledger
     }
 }
 
-/// The cut checks a baseline task or a retry attempt faces before any
-/// work: cancellation, its job's deadline, then an injected task-start
-/// fault keyed by `fault_key` (typed by `injected`).
+/// The cut checks a retry attempt faces before any work: cancellation,
+/// its job's deadline, then an injected task-start fault keyed by
+/// `fault_key` (typed by `injected`).
 fn start_checks(
     cancel: &CancelToken,
     deadline: Option<Instant>,
@@ -522,9 +499,9 @@ fn start_checks(
 
 /// One retry attempt of a failed copy. The copy is rebuilt by the run's
 /// member constructor, passes the [`start_checks`] with the member's own
-/// fault key, and is then driven alone as a one-member cohort, unsharded
-/// on the coordinator, and finished. Completed sweeps are added to
-/// `sweeps` whether or not the attempt succeeds.
+/// fault key, and is then driven alone as a one-member cohort on one
+/// worker (the calling thread), and finished. Completed sweeps are added
+/// to `sweeps` whether or not the attempt succeeds.
 fn retry_copy<C: CopyKind>(
     member: Result<(C, CohortMemberMeta)>,
     cancel: &CancelToken,
@@ -545,11 +522,8 @@ fn retry_copy<C: CopyKind>(
         items,
         batch,
         1,
-        1,
         &NoopRecorder,
-        0,
         &mut Vec::new(),
-        &mut InlineSweeps,
     );
     *sweeps += outcome.sweeps;
     if let Some((_, error)) = outcome.failures.into_iter().next() {
@@ -589,7 +563,7 @@ struct RetryTally {
 }
 
 /// Drains every retry-enabled job's copy failures through its policy on
-/// the coordinator, after the pool has finished.
+/// the calling thread, after the cohorts have finished.
 ///
 /// Copies are retried in copy order, each driven to success or quarantine
 /// before the next; `rerun(job, copy)` re-executes one copy and records
@@ -722,12 +696,11 @@ impl Engine {
 
     /// Runs every queued job to completion over one snapshot (draining the
     /// queue) — the single entry point both stream flavors collapse into.
-    /// Edge snapshots serve every job kind — [`JobKind::Main`] /
-    /// [`JobKind::Ideal`] / [`JobKind::Baseline`] directly, and
-    /// [`JobKind::Dynamic`] by materializing the edges as an insert-only
-    /// update stream. Update snapshots serve [`JobKind::Dynamic`] jobs
-    /// only; a non-turnstile job on one fails the run with
-    /// [`EngineError::UnsupportedJob`].
+    /// Edge snapshots serve every job kind — [`JobKind::Main`] and
+    /// [`JobKind::Ideal`] directly, and [`JobKind::Dynamic`] by
+    /// materializing the edges as an insert-only update stream. Update
+    /// snapshots serve [`JobKind::Dynamic`] jobs only; a non-turnstile job
+    /// on one fails the run with [`EngineError::UnsupportedJob`].
     ///
     /// Failures are split in two classes. **Pre-flight** failures — an
     /// invalid engine or job configuration, a job of the wrong stream
@@ -857,9 +830,8 @@ impl Engine {
         // Per-job recovery plumbing: the retry policy in effect (job
         // override, else the engine default), and whether failures are
         // contained at copy granularity. A job opts into copy containment
-        // by carrying a retry policy or a degradation-tolerant quorum;
-        // baselines are single-task and never contained. Everything else
-        // keeps the all-or-nothing default.
+        // by carrying a retry policy or a degradation-tolerant quorum.
+        // Everything else keeps the all-or-nothing default.
         let retry_of: Vec<Option<RetryPolicy>> = jobs
             .iter()
             .map(|spec| spec.retry.or(self.config.retry_policy))
@@ -872,10 +844,7 @@ impl Engine {
         let contained: Vec<bool> = jobs
             .iter()
             .zip(&retry_of)
-            .map(|(spec, retry)| {
-                (retry.is_some() || spec.quorum.allow_degraded)
-                    && !matches!(spec.kind, JobKind::Baseline(_))
-            })
+            .map(|(spec, retry)| retry.is_some() || spec.quorum.allow_degraded)
             .collect();
         let batch = self.config.batch_size;
 
@@ -898,16 +867,14 @@ impl Engine {
             Vec::new()
         };
         let updates: &[EdgeUpdate] = update_snapshot.unwrap_or(&inserts);
-        // The whole edge snapshot behind one plain stream view (zero-copy)
-        // for the baselines and the degree-table pass.
-        let plain = ShardedStream::new(num_vertices, edges, 1);
-        // The ideal estimator's degree table costs one pass; build it once
-        // and share it across every ideal job and copy.
+        // The ideal estimator's degree table costs one pass over a plain
+        // (zero-copy) view of the edges; build it once and share it across
+        // every ideal job and copy.
         let stats_started = Instant::now();
         let ideal_stats: Option<StreamStats> = jobs
             .iter()
             .any(|spec| matches!(spec.kind, JobKind::Ideal(_)))
-            .then(|| StreamStats::compute(&plain));
+            .then(|| StreamStats::compute(&ShardedStream::new(num_vertices, edges, 1)));
         if R::ENABLED && ideal_stats.is_some() {
             recorder.span(
                 0,
@@ -917,7 +884,7 @@ impl Engine {
         }
         // Serial set-up is work this run performed: it belongs in busy
         // time just as the stats pass's edges are in `edges_streamed`.
-        let mut busy_total = started.elapsed();
+        let setup_busy = started.elapsed();
 
         // ---- Cohort formation: one homogeneous cohort per kind ---------
         let members = Members {
@@ -932,7 +899,6 @@ impl Engine {
         let mut mains: Cohort<MainCopyStages> = Cohort::new();
         let mut ideals: Cohort<IdealCopyStages<'_, StreamStats>> = Cohort::new();
         let mut turnstiles: Cohort<DynamicCopyStages> = Cohort::new();
-        let mut baselines: Vec<usize> = Vec::new();
         for (job, spec) in jobs.iter().enumerate() {
             let copies = spec.kind.task_count();
             match spec.kind {
@@ -941,7 +907,6 @@ impl Engine {
                 JobKind::Dynamic(_) => {
                     turnstiles.form(copies, |copy| members.dynamic(job, copy))?
                 }
-                JobKind::Baseline(_) => baselines.push(job),
             }
         }
         if R::ENABLED {
@@ -959,102 +924,25 @@ impl Engine {
         .filter(|&&n| n > 0)
         .count();
 
-        // One baseline task body, shared by every pool worker; panics are
-        // caught at the queue-job layer below. The task-start fault key is
-        // the job index — a baseline has no copy seed.
-        let run_baseline = |i: usize| -> (Result<BaselineOutcome>, Duration) {
-            let task_started = Instant::now();
-            let job = baselines[i];
-            let JobKind::Baseline(counter) = &jobs[job].kind else {
-                unreachable!("baseline tasks run baseline jobs");
-            };
-            let result = start_checks(
-                &cancel,
-                deadline_at[job],
-                job as u64,
-                estimator_task_start_error,
-            )
-            .map(|()| counter.estimate(&plain));
-            let spent = task_started.elapsed();
-            if R::ENABLED && result.is_ok() {
-                let nanos = spent.as_nanos() as u64;
-                recorder.span(i, Span::PerCopyTask, nanos);
-                recorder.observe(i, Hist::TaskNanos, nanos);
-            }
-            (result, spent)
-        };
-
-        // ---- One pool: queued baselines, then the cohorts --------------
-        // Baselines queue up as coarse jobs; the cohorts then run on the
-        // coordinator with the queue scope as their sweep pool, so sweep
-        // shards cut to the front of the same queue and interleave with
-        // straggler baselines. Panic containment is preserved: a
-        // panicking baseline parks `Err(payload)` in its slot and the
-        // claiming worker survives.
-        let cohort_workers = self.config.workers.max(1);
-        let cohort_shards = cohort_workers * SHARDS_PER_WORKER;
-        let pool_workers = if cohort_copies > 0 {
-            cohort_workers
-        } else {
-            self.config.effective_workers(baselines.len())
-        };
-        let slots: Vec<BaselineSlot> = baselines.iter().map(|_| Mutex::new(None)).collect();
-        run_queued(pool_workers, |scope| {
-            for i in 0..baselines.len() {
-                let slots = &slots;
-                let run_baseline = &run_baseline;
-                scope.submit(Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| run_baseline(i)));
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                }));
-            }
-            let (n, w, s) = (num_vertices, cohort_workers, cohort_shards);
-            mains.drive(&cancel, n, edges, batch, w, s, recorder, scope);
-            ideals.drive(&cancel, n, edges, batch, w, s, recorder, scope);
-            turnstiles.drive(&cancel, n, updates, batch, w, s, recorder, scope);
-        });
+        // ---- The cohorts, one after another ----------------------------
+        // Each cohort's sweeps shard across `workers` threads.
+        let workers = self.config.workers;
+        let n = num_vertices;
+        mains.drive(&cancel, n, edges, batch, workers, recorder);
+        ideals.drive(&cancel, n, edges, batch, workers, recorder);
+        turnstiles.drive(&cancel, n, updates, batch, workers, recorder);
 
         // ---- Fold everything back per job -------------------------------
         let mut ledger = Ledger::new(jobs.len());
-        let mut sweeps = u64::from(ideal_stats.is_some());
-        for (i, slot) in slots.into_iter().enumerate() {
-            let job = baselines[i];
-            ledger.tasks[job] += 1;
-            let caught = slot
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("run_queued drained every submitted task");
-            match caught {
-                // The baseline panicked; its worker survived and its
-                // payload fails only this job.
-                Err(payload) => fail_job(
-                    &mut ledger.job_errors,
-                    job,
-                    EngineError::panicked(i, payload),
-                ),
-                Ok((result, spent)) => {
-                    ledger.busy[job] += spent;
-                    busy_total += spent;
-                    match result {
-                        Ok(outcome) => {
-                            sweeps += outcome.passes as u64;
-                            ledger.baseline_outcomes[job] = Some(outcome);
-                        }
-                        Err(error) => fail_job(&mut ledger.job_errors, job, error),
-                    }
-                }
-            }
-        }
         // Cohort sweeps and busy time are *measured* by the driver (shard
         // nanos summed over every shared sweep), not allocated from wall
         // time: the per-tier attribution in the stats below is only useful
         // if the split is real.
         let mut driver = DriverTotals::default();
-        let (w, s) = (cohort_workers, cohort_shards);
         let cohort_reports: Vec<CohortReport> = [
-            mains.settle(&mut ledger, &mut driver, R::ENABLED, w, s),
-            ideals.settle(&mut ledger, &mut driver, R::ENABLED, w, s),
-            turnstiles.settle(&mut ledger, &mut driver, R::ENABLED, w, s),
+            mains.settle(&mut ledger, &mut driver, R::ENABLED, workers),
+            ideals.settle(&mut ledger, &mut driver, R::ENABLED, workers),
+            turnstiles.settle(&mut ledger, &mut driver, R::ENABLED, workers),
         ]
         .into_iter()
         .flatten()
@@ -1063,7 +951,7 @@ impl Engine {
 
         // ---- Deterministic retries --------------------------------------
         // Failed copies of retry-enabled jobs are rebuilt and re-driven as
-        // one-member cohorts on the coordinator. Position-keyed seeds make
+        // one-member cohorts on this thread. Position-keyed seeds make
         // each re-execution bit-identical to the copy never having failed,
         // at any worker count; only wall-clock time (and the sweep count)
         // grows. Evictions inside a retry attempt count as retries, not
@@ -1098,9 +986,6 @@ impl Engine {
                             sweeps,
                         )
                         .map(|c| ledger.dyn_contributions[job].push((copy, c))),
-                        // Baselines are never contained, so they never
-                        // reach the retry layer.
-                        JobKind::Baseline(_) => unreachable!("baselines are never retried"),
                     };
                     let spent = attempt_started.elapsed();
                     ledger.busy[job] += spent;
@@ -1110,8 +995,6 @@ impl Engine {
             );
         }
         let wall = started.elapsed();
-        sweeps += driver.sweeps;
-        busy_total += driver.busy;
 
         let mut jobs_degraded = 0usize;
         let results: Vec<JobResult> = jobs
@@ -1129,7 +1012,6 @@ impl Engine {
                         let survivors = match &spec.kind {
                             JobKind::Main(_) | JobKind::Ideal(_) => ledger.contributions[job].len(),
                             JobKind::Dynamic(_) => ledger.dyn_contributions[job].len(),
-                            JobKind::Baseline(_) => 1,
                         };
                         // Quorum check: a job with unrecovered copy errors
                         // succeeds degraded when its policy tolerates the
@@ -1168,15 +1050,6 @@ impl Engine {
                                         degraded,
                                     }
                                 }
-                                JobKind::Baseline(_) => JobOutput {
-                                    estimation: baseline_estimation(
-                                        ledger.baseline_outcomes[job]
-                                            .as_ref()
-                                            .expect("baseline task completed"),
-                                    ),
-                                    dynamic: None,
-                                    degraded,
-                                },
                                 JobKind::Dynamic(_) => {
                                     ledger.dyn_contributions[job].sort_by_key(|&(copy, _)| copy);
                                     let copies: Vec<DynamicCopyOutcome> = ledger.dyn_contributions
@@ -1215,15 +1088,15 @@ impl Engine {
 
         let tiers = TierTotals {
             fused_sweeps: driver.sweeps,
-            per_copy_sweeps: sweeps - driver.sweeps,
+            per_copy_sweeps: u64::from(ideal_stats.is_some()),
             fused_busy: driver.busy,
-            per_copy_busy: busy_total.saturating_sub(driver.busy),
+            per_copy_busy: setup_busy,
         };
         let run_report = R::ENABLED.then(|| {
             assemble_run_report(
                 recorder,
                 wall,
-                pool_workers,
+                workers,
                 cohort_reports,
                 &jobs,
                 &submitted,
@@ -1239,13 +1112,13 @@ impl Engine {
         Ok(EngineReport {
             jobs: results,
             stats: EngineStats::from_run(
-                pool_workers,
-                baselines.len() + cohort_copies,
+                workers,
+                cohort_copies,
                 fused_cohorts,
-                sweeps,
+                tiers.fused_sweeps + tiers.per_copy_sweeps,
                 tiers.fused_sweeps,
                 wall,
-                busy_total,
+                tiers.fused_busy + tiers.per_copy_busy,
                 tiers.fused_busy,
                 snapshot_len as u64,
                 recovery,
@@ -1257,7 +1130,8 @@ impl Engine {
 
 /// The run's sweep and busy totals split by execution path: the cohort
 /// driver (cohorts and retried one-member cohorts, measured by the
-/// driver) versus the baselines plus the shared degree-table pass.
+/// driver) versus the serial set-up (the shared degree-table pass and the
+/// insert materialization).
 struct TierTotals {
     fused_sweeps: u64,
     per_copy_sweeps: u64,

@@ -8,36 +8,38 @@ use std::time::Duration;
 pub struct EngineStats {
     /// Worker threads the run used.
     pub workers: usize,
-    /// Tasks (estimator copies + baseline runs) executed.
+    /// Estimator copies the run's cohorts started (a retried copy counts
+    /// once).
     pub tasks: usize,
     /// Fused cohorts the run executed: one per estimator kind with copies
     /// in the batch (six-pass, ideal, turnstile), each pass stage one
     /// shared snapshot sweep.
     pub fused_cohorts: usize,
     /// Physical snapshot traversals the run performed: cohort sweeps count
-    /// once per *cohort* pass, baselines once per baseline pass. Always
+    /// once per *cohort* pass, plus the oracle stats pass. Always
     /// `edges_streamed / snapshot len`.
     pub sweeps_executed: u64,
     /// Sweeps executed by the cohort driver — the cohorts plus any retried
     /// one-member cohorts (one shared traversal serves every member).
     /// Subset of [`sweeps_executed`](Self::sweeps_executed).
     pub fused_sweeps: u64,
-    /// Sweeps outside the cohort driver: the baselines' passes and the
-    /// shared oracle stats pass. `sweeps_executed - fused_sweeps`.
+    /// Sweeps outside the cohort driver: the shared oracle stats pass (1
+    /// when the run has ideal jobs, else 0), `sweeps_executed -
+    /// fused_sweeps`.
     pub per_copy_sweeps: u64,
     /// Wall-clock time of the whole run in seconds.
     pub wall_seconds: f64,
-    /// Total CPU-busy seconds summed over all workers (baselines count
-    /// measured task time; cohorts count measured shard-busy time summed
-    /// over their sweep shards, retries their attempt time).
+    /// Total CPU-busy seconds summed over all workers (cohorts count
+    /// measured shard-busy time summed over their sweep shards, retries
+    /// their attempt time, and the serial set-up its wall time).
     pub busy_seconds: f64,
     /// Measured busy seconds attributable to the cohort driver (summed
     /// shard-busy time plus retry attempts). Subset of
     /// [`busy_seconds`](Self::busy_seconds).
     pub fused_busy_seconds: f64,
-    /// Measured busy seconds outside the cohort driver (baselines and the
-    /// serial set-up before the cohorts form):
-    /// `busy_seconds - fused_busy_seconds`.
+    /// Measured busy seconds outside the cohort driver: the serial set-up
+    /// before the cohorts form (insert materialization and the oracle
+    /// stats pass), `busy_seconds - fused_busy_seconds`.
     pub per_copy_busy_seconds: f64,
     /// Items the run physically streamed: `sweeps_executed × snapshot
     /// len`. Cohorts traverse the snapshot once per *shared* pass stage,
@@ -70,7 +72,7 @@ pub struct EngineStats {
     /// carries the details).
     pub jobs_degraded: usize,
     /// Wall-clock seconds the retry layer spent sleeping in backoff
-    /// delays (coordinator time, not worker-pool time).
+    /// delays (calling-thread time, not sweep time).
     pub retry_backoff_seconds: f64,
 }
 

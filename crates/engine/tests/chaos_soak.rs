@@ -186,7 +186,6 @@ fn check_job(
             aggregate_copies(&contributions).estimate
         }
         JobKind::Dynamic(_) => median(&surviving),
-        JobKind::Baseline(_) => unreachable!("baselines are never degraded"),
     };
     assert_eq!(
         est.estimate.to_bits(),
@@ -237,7 +236,6 @@ fn seeded_chaos_soak_never_corrupts_any_job() {
                         .run(&inserts)
                         .unwrap(),
                 ),
-                JobKind::Baseline(_) => unreachable!("the soak runs no baselines"),
             })
             .collect()
     });

@@ -11,10 +11,9 @@
 
 use std::time::Duration;
 
-use degentri_baselines::{BaselineOutcome, StreamingTriangleCounter};
 use degentri_core::{estimate_triangles, EstimatorConfig, RngMode, TriangleEstimation};
 use degentri_engine::{Engine, EngineConfig, EngineError, JobSpec};
-use degentri_stream::{EdgeStream, MemoryStream, SpaceReport, StreamOrder};
+use degentri_stream::{MemoryStream, StreamOrder};
 
 fn main_config(seed: u64) -> EstimatorConfig {
     EstimatorConfig::builder()
@@ -148,86 +147,15 @@ fn cancelled_token_cuts_every_job_and_reset_restores_the_engine() {
     });
 }
 
-/// A baseline that always panics: the simplest hostile job, available
-/// without the injection feature.
-struct PanickingCounter;
-
-impl StreamingTriangleCounter for PanickingCounter {
-    fn name(&self) -> &'static str {
-        "panicking"
-    }
-
-    fn space_bound(&self) -> &'static str {
-        "0"
-    }
-
-    fn estimate(&self, _stream: &dyn EdgeStream) -> BaselineOutcome {
-        panic!("baseline kaboom");
-    }
-}
-
-/// A baseline that counts nothing but succeeds — scheduled *after* the
-/// panicking one to prove the worker that caught the panic keeps claiming
-/// tasks.
-struct InertCounter;
-
-impl StreamingTriangleCounter for InertCounter {
-    fn name(&self) -> &'static str {
-        "inert"
-    }
-
-    fn space_bound(&self) -> &'static str {
-        "0"
-    }
-
-    fn estimate(&self, stream: &dyn EdgeStream) -> BaselineOutcome {
-        BaselineOutcome {
-            estimate: stream.pass().count() as f64,
-            passes: 1,
-            space: SpaceReport::default(),
-        }
-    }
-}
-
-#[test]
-fn panicking_job_is_contained_and_the_worker_survives() {
-    let stream = workload();
-    let reference = clean_reference(&stream, &[11]);
-    quiesced(|| {
-        // One worker: the same thread that catches the panic must go on to
-        // execute both remaining jobs.
-        let mut engine = engine(1);
-        engine.submit(JobSpec::baseline("boom", Box::new(PanickingCounter)));
-        engine.submit(JobSpec::main("healthy", main_config(11)));
-        engine.submit(JobSpec::baseline("inert", Box::new(InertCounter)));
-        let report = engine.run(&stream).unwrap();
-        match report.jobs[0].error() {
-            Some(EngineError::Panicked { payload, .. }) => {
-                assert!(payload.contains("kaboom"), "payload: {payload}");
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        assert!(report.jobs[1].is_ok());
-        assert_bits(
-            report.jobs[1].estimation(),
-            &reference[0],
-            "post-panic main",
-        );
-        let edges = report.jobs[2].estimation().estimate;
-        assert!(edges > 0.0, "inert baseline ran after the panic");
-        assert_eq!(report.stats.jobs_failed, 1);
-    });
-}
-
 #[cfg(feature = "fault-inject")]
 mod faulted {
     use super::*;
-    use degentri_core::faults::{self, FaultKind, FaultPlan, FaultSite};
+    use degentri_core::faults::{self, FaultKind, FaultPlan, FaultRule, FaultSite};
     use degentri_core::{main_copy_seed, EstimatorError};
     use degentri_dynamic::{
         dynamic_copy_seed, DynamicError, DynamicEstimatorConfig, DynamicTriangleEstimator,
     };
-    use degentri_stream::DynamicMemoryStream;
+    use degentri_stream::{DynamicMemoryStream, EdgeStream};
 
     /// `MainFinish` fires once per pass per copy with the copy's derived
     /// seed as key, so a targeted rule fails the same logical job at every
@@ -280,9 +208,9 @@ mod faulted {
         }
     }
 
-    /// `TaskStart` probes guard baseline tasks and retry attempts only; a
-    /// cohort's first execution has no such site, so a rule keyed by an
-    /// estimator copy stays dormant without a retry policy.
+    /// `TaskStart` probes guard retry attempts only; a cohort's first
+    /// execution has no such site, so a rule keyed by an estimator copy
+    /// stays dormant without a retry policy.
     #[test]
     fn task_start_injection_is_dormant_without_retries() {
         let stream = workload();
@@ -304,6 +232,44 @@ mod faulted {
         assert_eq!(fused.stats.jobs_failed, 0);
         for (i, clean) in reference.iter().enumerate() {
             assert_bits(fused.jobs[i].estimation(), clean, "fused dormant");
+        }
+    }
+
+    /// A persistent panic inside the cohort fold of one copy: every shared
+    /// sweep that folds it unwinds, the driver re-runs the pass copy by
+    /// copy to find the culprit, and only its job fails — at one worker
+    /// (one inline shard) and on sharded pools alike. The other jobs
+    /// re-fold their own copies and stay bit-identical to the clean batch.
+    #[test]
+    fn fold_panic_in_a_shared_sweep_fails_only_its_job() {
+        let stream = workload();
+        let seeds = [21u64, 22, 23];
+        let reference = clean_reference(&stream, &seeds);
+        for workers in [1usize, 2, 4] {
+            let plan = FaultPlan::targeted(vec![FaultRule {
+                site: FaultSite::MainFold,
+                key: Some(main_copy_seed(seeds[1], 1)),
+                after_hits: 0,
+                kind: FaultKind::FailTimes(u64::MAX),
+            }]);
+            let report = faults::with_plan(plan, || {
+                let mut engine = engine(workers);
+                for (i, &seed) in seeds.iter().enumerate() {
+                    engine.submit(JobSpec::main(format!("job-{i}"), main_config(seed)));
+                }
+                engine.run(&stream).unwrap()
+            });
+            let what = format!("workers={workers}");
+            assert!(
+                matches!(report.jobs[1].error(), Some(EngineError::Panicked { .. })),
+                "{what}: got {:?}",
+                report.jobs[1].error()
+            );
+            for i in [0usize, 2] {
+                assert!(report.jobs[i].is_ok(), "{what}: job {i} failed");
+                assert_bits(report.jobs[i].estimation(), &reference[i], &what);
+            }
+            assert_eq!(report.stats.jobs_failed, 1, "{what}");
         }
     }
 

@@ -4,7 +4,6 @@
 //! objects one copy at a time — bit for bit, for both estimators, across
 //! copies × shards × workers, and for any cohort grouping.
 
-use degentri_baselines::{ExactStreamCounter, StreamingTriangleCounter};
 use degentri_core::{
     main_copy_seed, EstimatorConfig, MainCopyStages, MainStageAcc, RngMode, TriangleEstimation,
 };
@@ -273,35 +272,6 @@ fn fused_sweep_accounting_counts_physical_traversals() {
         report.stats.edges_streamed,
         4 * degentri_stream::DynamicEdgeStream::num_updates(&dyn_stream) as u64
     );
-}
-
-#[test]
-fn mixed_batches_run_fused_and_per_copy_tiers_together() {
-    let stream = workload();
-    let m = degentri_stream::EdgeStream::num_edges(&stream) as u64;
-    let counter = main_config(3, 9);
-    // The estimator job fuses every pass; the baseline job runs as a
-    // queued task on the same pool. Both match their standalone runs.
-    let mut engine = Engine::new(EngineConfig::builder().workers(2).try_build().unwrap());
-    engine.submit(JobSpec::main("counter", counter.clone()));
-    engine.submit(JobSpec::baseline(
-        "exact",
-        Box::new(ExactStreamCounter::new()),
-    ));
-    let report = engine.run(&stream).unwrap();
-    assert_eq!(report.stats.fused_cohorts, 1);
-    // 6 shared cohort sweeps + the baseline's single pass.
-    assert_eq!(report.stats.sweeps_executed, 6 + 1);
-    assert_eq!(report.stats.fused_sweeps, 6);
-    assert_eq!(report.stats.per_copy_sweeps, 1);
-    assert_eq!(report.stats.edges_streamed, (6 + 1) * m);
-    let counter_direct = degentri_core::estimate_triangles(&stream, &counter).unwrap();
-    assert_eq!(
-        report.jobs[0].estimation().copy_estimates,
-        counter_direct.copy_estimates
-    );
-    let exact_direct = ExactStreamCounter::new().estimate(&stream);
-    assert_eq!(report.jobs[1].estimation().estimate, exact_direct.estimate);
 }
 
 proptest! {

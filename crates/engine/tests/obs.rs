@@ -248,3 +248,41 @@ fn stats_display_reports_fusion_and_sweeps() {
         report.stats.sweeps_executed * stream.edges().len() as u64
     );
 }
+
+/// `CohortReport::shards` is the count the sweeps actually used: every
+/// pass carries exactly that many shard entries — one whole-snapshot shard
+/// on one worker, and on two workers however many the partition cut from
+/// the eight requested, fewer on a snapshot shorter than eight items.
+#[test]
+fn cohort_shard_count_matches_every_pass() {
+    let short = MemoryStream::from_graph(&degentri_gen::wheel(4).unwrap(), StreamOrder::AsGiven);
+    assert!(short.edges().len() < 8);
+    for stream in [&short, &workload()] {
+        for workers in [1, 2] {
+            let mut engine = Engine::new(
+                EngineConfig::builder()
+                    .workers(workers)
+                    .recording(true)
+                    .try_build()
+                    .unwrap(),
+            );
+            engine.submit(JobSpec::main("main", main_config(2)));
+            engine.submit(JobSpec::dynamic("turnstile", dynamic_workload().1));
+            let run = engine.run(stream).unwrap().run_report.unwrap();
+            assert_eq!(run.cohorts.len(), 2);
+            for cohort in &run.cohorts {
+                assert!(!cohort.passes.is_empty());
+                for pass in &cohort.passes {
+                    assert_eq!(
+                        pass.shards.len(),
+                        cohort.shards,
+                        "{} {} on {} items, workers={workers}",
+                        cohort.label,
+                        pass.name,
+                        stream.edges().len()
+                    );
+                }
+            }
+        }
+    }
+}

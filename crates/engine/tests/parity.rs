@@ -7,7 +7,6 @@
 //! through the scheduler and through the `parallel_estimate_*` entry
 //! points alike.
 
-use degentri_baselines::{ExactStreamCounter, StreamingTriangleCounter, TriestImpr};
 use degentri_core::{
     estimate_triangles, estimate_triangles_with_oracle, EstimatorConfig, ExactDegreeOracle,
 };
@@ -173,16 +172,8 @@ fn engine_jobs_match_direct_runs_and_report_throughput() {
     let mut engine = Engine::new(EngineConfig::with_workers(4));
     engine.submit(JobSpec::main("main", main_config.clone()));
     engine.submit(JobSpec::ideal("ideal", ideal_config.clone()));
-    engine.submit(JobSpec::baseline(
-        "triest",
-        Box::new(TriestImpr::new(256, 5)),
-    ));
-    engine.submit(JobSpec::baseline(
-        "exact",
-        Box::new(ExactStreamCounter::new()),
-    ));
     let report = engine.run(&stream).unwrap();
-    assert_eq!(report.jobs.len(), 4);
+    assert_eq!(report.jobs.len(), 2);
 
     // Main job: identical to the sequential public entry point.
     let sequential_main = estimate_triangles(&stream, &main_config).unwrap();
@@ -204,26 +195,15 @@ fn engine_jobs_match_direct_runs_and_report_throughput() {
         sequential_ideal.copy_estimates
     );
 
-    // Baseline jobs: identical to running the baseline directly.
-    let direct_triest = TriestImpr::new(256, 5).estimate(&stream);
-    assert_eq!(report.jobs[2].estimation().estimate, direct_triest.estimate);
-    assert_eq!(
-        report.jobs[2].estimation().passes_per_copy,
-        direct_triest.passes
-    );
-    let direct_exact = ExactStreamCounter::new().estimate(&stream);
-    assert_eq!(report.jobs[3].estimation().estimate, direct_exact.estimate);
-
     // Throughput accounting counts *physical* snapshot traversals: the
     // five main copies share one six-pass cohort (6 sweeps), the 4 ideal
-    // copies one three-pass cohort (3 sweeps), plus 1 oracle stats pass
-    // and the two baselines' passes, all over m edges.
-    let baseline_passes = (direct_triest.passes + direct_exact.passes) as u64;
-    let expected_sweeps = (6 + 3 + 1) as u64 + baseline_passes;
+    // copies one three-pass cohort (3 sweeps), plus 1 oracle stats pass,
+    // all over m edges.
+    let expected_sweeps = (6 + 3 + 1) as u64;
     assert_eq!(report.stats.sweeps_executed, expected_sweeps);
     assert_eq!(report.stats.edges_streamed, expected_sweeps * m as u64);
     assert_eq!(report.stats.fused_cohorts, 2);
-    assert_eq!(report.stats.tasks, 5 + 4 + 2);
+    assert_eq!(report.stats.tasks, 5 + 4);
     assert!(report.stats.edges_per_second > 0.0);
     assert!(report.stats.worker_utilization > 0.0);
     assert!(report.stats.busy_seconds >= 0.0);

@@ -28,7 +28,8 @@ pub enum Counter {
     SketchUpdates,
     /// Copies executed inside fused cohorts.
     CohortCopies,
-    /// Per-copy tasks executed on the copy-parallel tier.
+    /// Estimator copies the run's cohorts started (a retried copy counts
+    /// once).
     TasksExecuted,
     /// Jobs completed by the run.
     JobsCompleted,
@@ -44,13 +45,13 @@ pub enum Counter {
     /// cohort member; retried one-member cohorts included; subset of
     /// [`Counter::SweepsExecuted`]).
     FusedSweeps,
-    /// Sweeps outside the cohort driver: baseline passes and the oracle
-    /// stats pass (`SweepsExecuted - FusedSweeps`).
+    /// Sweeps outside the cohort driver: the oracle stats pass
+    /// (`SweepsExecuted - FusedSweeps`).
     PerCopySweeps,
     /// Measured shard-nanoseconds spent inside cohort sweeps and retries.
     FusedBusyNanos,
-    /// Measured nanoseconds outside the cohort driver: baseline task bodies
-    /// and the serial set-up before the cohorts form.
+    /// Measured nanoseconds outside the cohort driver: the serial set-up
+    /// before the cohorts form.
     PerCopyBusyNanos,
     /// Retry attempts executed for failed copies (each re-execution of
     /// one copy counts once, successful or not).
@@ -135,21 +136,18 @@ pub enum Span {
     PlanBuild,
     /// One shared sweep of a fused cohort (all copies, all shards).
     FusedSweep,
-    /// One baseline task, queue-claim to completion.
-    PerCopyTask,
     /// The shared pre-pass computing stream statistics for oracle jobs.
     StatsPass,
 }
 
 impl Span {
     /// Number of spans (size of the flat per-lane arrays).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 4;
     /// All spans, in index order.
     pub const ALL: [Span; Span::COUNT] = [
         Span::CohortFormation,
         Span::PlanBuild,
         Span::FusedSweep,
-        Span::PerCopyTask,
         Span::StatsPass,
     ];
 
@@ -165,7 +163,6 @@ impl Span {
             Span::CohortFormation => "cohort_formation",
             Span::PlanBuild => "plan_build",
             Span::FusedSweep => "fused_sweep",
-            Span::PerCopyTask => "per_copy_task",
             Span::StatsPass => "stats_pass",
         }
     }
@@ -183,22 +180,15 @@ pub enum Hist {
     PassNanos,
     /// Busy nanoseconds of one shard's fold within a sharded pass.
     ShardNanos,
-    /// Busy nanoseconds of one baseline task.
-    TaskNanos,
     /// Per-job latency from submission to run completion.
     JobLatencyNanos,
 }
 
 impl Hist {
     /// Number of histograms (size of the flat per-lane array).
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
     /// All histograms, in index order.
-    pub const ALL: [Hist; Hist::COUNT] = [
-        Hist::PassNanos,
-        Hist::ShardNanos,
-        Hist::TaskNanos,
-        Hist::JobLatencyNanos,
-    ];
+    pub const ALL: [Hist; Hist::COUNT] = [Hist::PassNanos, Hist::ShardNanos, Hist::JobLatencyNanos];
 
     /// Flat array index of this histogram.
     #[inline(always)]
@@ -211,7 +201,6 @@ impl Hist {
         match self {
             Hist::PassNanos => "pass_nanos",
             Hist::ShardNanos => "shard_nanos",
-            Hist::TaskNanos => "task_nanos",
             Hist::JobLatencyNanos => "job_latency_nanos",
         }
     }

@@ -72,7 +72,10 @@ pub struct PassReport {
     pub items: u64,
     /// Fold-loop tallies summed over the cohort's copies.
     pub tally: PassTally,
-    /// Per-shard breakdown (empty when the pass ran unsharded).
+    /// Per-shard breakdown, in shard order. Never empty: a pass that ran
+    /// copy by copy instead of sharded (one worker without shared probes,
+    /// or the re-run after a shard panicked) carries one whole-snapshot
+    /// entry.
     pub shards: Vec<ShardReport>,
 }
 
@@ -92,7 +95,9 @@ pub struct CohortReport {
     pub copies: usize,
     /// Workers the cohort's sweeps ran on.
     pub workers: usize,
-    /// Shards each sweep was split into.
+    /// Shards each sharded sweep was split into: the snapshot partition's
+    /// actual count (fewer than requested on short snapshots; 1 on one
+    /// worker).
     pub shards: usize,
     /// Self time: constructing the staged copies before the first sweep.
     pub formation_nanos: u64,
@@ -113,7 +118,7 @@ impl CohortReport {
 pub struct JobReport {
     /// The job's label.
     pub label: String,
-    /// Tasks (copies, or 1 for a baseline) the job expanded into.
+    /// Estimator copies the job expanded into.
     pub tasks: usize,
     /// CPU-busy nanoseconds the job's tasks consumed across all workers.
     pub busy_nanos: u64,

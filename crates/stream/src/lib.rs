@@ -31,11 +31,7 @@
 //!   both with per-shard folds that merge bit-identically at any shard or
 //!   worker count.
 
-// One audited exception: `pool::QueueScope::run_shards` widens the
-// lifetime of its shard closures to route them through the shared work
-// queue (the classic scoped-pool pattern); it blocks until every shard
-// has completed, so no borrow escapes. Everything else stays safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dynamic;
@@ -55,10 +51,7 @@ pub use dynamic::{DynamicEdgeStream, DynamicMemoryStream, EdgeUpdate, UpdateKind
 pub use edge_stream::{EdgeStream, MemoryStream, DEFAULT_BATCH_SIZE};
 pub use ordering::StreamOrder;
 pub use passes::PassCounter;
-pub use pool::{
-    run_indexed_pool, run_indexed_pool_caught, run_queued, QueueScope, QueuedJob, TaskResult,
-    WorkQueue,
-};
+pub use pool::{run_indexed_pool, run_indexed_pool_caught, TaskResult};
 pub use reservoir::ReservoirSampler;
 pub use sharded::ShardedStream;
 pub use snapshot::{Partition, ShardedDynamicStream, ShardedSnapshot, Snapshot, StreamSnapshot};

@@ -1,11 +1,12 @@
-//! Engine throughput: the Table-1 (E1-style) job batch at increasing worker
-//! counts over one shared graph snapshot, plus a narrow job on one worker
-//! and on many.
+//! Engine throughput: an E1-style batch at increasing worker counts over
+//! one shared graph snapshot, plus a narrow job on one worker and on many.
 //!
 //! Generates a preferential-attachment graph with ≥ 10^5 edges, submits the
-//! paper's estimator plus a spread of baselines as one engine job batch,
-//! and reports wall time, streaming throughput, worker utilization and the
-//! speedup over the single-worker run. A second section runs a *narrow*
+//! paper's estimator and the ideal estimator as one engine job batch, runs
+//! two Table-1 baselines side by side on a worker pool next to it (they
+//! are not engine jobs), and reports the engine's wall time, streaming
+//! throughput, worker utilization and the speedup over the single-worker
+//! run. A second section runs a *narrow*
 //! job (fewer copies than workers) twice — on one worker, and on the whole
 //! pool, where its cohort's sweeps shard across every worker — and reports
 //! both edges/sec. Estimates are bit-identical across worker counts
@@ -15,10 +16,12 @@
 //!   cargo run --release --example engine_throughput
 //!   WORKERS=8 cargo run --release --example engine_throughput   # extend the sweep
 
+use degentri::baselines::{ExactStreamCounter, TriestImpr};
 use degentri::engine::{Engine, EngineConfig, EngineReport, JobSpec};
 use degentri::prelude::*;
+use degentri::stream::run_indexed_pool;
 
-fn submit_table1_jobs(engine: &mut Engine, m: usize, t_hint: u64, seed: u64) {
+fn submit_table1_jobs(engine: &mut Engine, t_hint: u64, seed: u64) {
     let config = EstimatorConfig::builder()
         .epsilon(0.1)
         .kappa(8)
@@ -32,14 +35,24 @@ fn submit_table1_jobs(engine: &mut Engine, m: usize, t_hint: u64, seed: u64) {
         .expect("example configuration is valid");
     engine.submit(JobSpec::main("this paper (6-pass)", config.clone()));
     engine.submit(JobSpec::ideal("ideal (3-pass, oracle)", config));
-    engine.submit(JobSpec::baseline(
-        "triest-impr",
-        Box::new(degentri::baselines::TriestImpr::new((m / 4).max(16), seed)),
-    ));
-    engine.submit(JobSpec::baseline(
-        "exact (store all)",
-        Box::new(degentri::baselines::ExactStreamCounter::new()),
-    ));
+}
+
+/// Runs the batch's Table-1 baselines side by side on `workers` threads.
+fn run_baselines(
+    stream: &MemoryStream,
+    workers: usize,
+    m: usize,
+    seed: u64,
+) -> Vec<(&'static str, BaselineOutcome)> {
+    let baselines: [Box<dyn StreamingTriangleCounter + Send + Sync>; 2] = [
+        Box::new(TriestImpr::new((m / 4).max(16), seed)),
+        Box::new(ExactStreamCounter::new()),
+    ];
+    let outcomes = run_indexed_pool(workers, baselines.len(), |i| baselines[i].estimate(stream));
+    ["triest-impr", "exact (store all)"]
+        .into_iter()
+        .zip(outcomes)
+        .collect()
 }
 
 fn main() {
@@ -63,17 +76,18 @@ fn main() {
     sweep.sort_unstable();
 
     let mut reports: Vec<(usize, EngineReport)> = Vec::new();
+    let mut baselines: Vec<Vec<(&str, BaselineOutcome)>> = Vec::new();
     for &workers in &sweep {
         let mut engine = Engine::new(EngineConfig::with_workers(workers));
-        submit_table1_jobs(&mut engine, m, exact / 2, 42);
+        submit_table1_jobs(&mut engine, exact / 2, 42);
         let report = engine.run(&stream).expect("engine run succeeds");
         reports.push((workers, report));
+        baselines.push(run_baselines(&stream, workers, m, 42));
     }
 
-    // The engine's determinism contract: identical estimates at every
-    // worker count.
+    // The determinism contract: identical estimates at every worker count.
     let reference = &reports[0].1;
-    for (workers, report) in &reports[1..] {
+    for ((workers, report), outcomes) in reports[1..].iter().zip(&baselines[1..]) {
         for (job, ref_job) in report.jobs.iter().zip(&reference.jobs) {
             assert_eq!(
                 job.estimation().estimate.to_bits(),
@@ -82,21 +96,43 @@ fn main() {
                 job.label
             );
         }
+        for ((label, outcome), (_, ref_outcome)) in outcomes.iter().zip(&baselines[0]) {
+            assert_eq!(
+                outcome.estimate.to_bits(),
+                ref_outcome.estimate.to_bits(),
+                "baseline {label} differs at {workers} workers"
+            );
+        }
     }
 
     println!("\nper-job estimates (identical at every worker count):");
-    for job in &reference.jobs {
-        let err = 100.0 * job.estimation().relative_error(exact);
+    let rows = reference
+        .jobs
+        .iter()
+        .map(|job| {
+            let est = job.estimation();
+            (
+                job.label.as_str(),
+                est.estimate,
+                est.passes_per_copy,
+                est.space,
+            )
+        })
+        .chain(
+            baselines[0]
+                .iter()
+                .map(|(label, o)| (*label, o.estimate, o.passes, o.space)),
+        );
+    for (label, estimate, passes, space) in rows {
+        let err = 100.0 * (estimate - exact as f64).abs() / exact as f64;
         println!(
-            "  {:<24} estimate {:>12.0}  err {err:>5.1}%  passes {}  words {}",
-            job.label,
-            job.estimation().estimate,
-            job.estimation().passes_per_copy,
-            job.estimation().space.peak_words
+            "  {label:<24} estimate {estimate:>12.0}  err {err:>5.1}%  passes {passes}  words {}",
+            space.peak_words
         );
     }
 
-    println!("\nworkers  wall s   edges/s      utilization  speedup");
+    println!("\nengine jobs only:");
+    println!("workers  wall s   edges/s      utilization  speedup");
     let base_wall = reference.stats.wall_seconds;
     for (workers, report) in &reports {
         let s = &report.stats;

@@ -58,12 +58,15 @@
 //! [`estimate_triangles`] runs the independent estimator copies one at a
 //! time. The engine runs the same copies on a worker pool — bit-identical
 //! results, wall-clock time divided by the available parallelism — and
-//! schedules whole *jobs* (different configurations, the oracle estimator,
-//! any Table-1 baseline) concurrently over one shared snapshot:
+//! batches whole *jobs* (different configurations, the oracle estimator,
+//! the turnstile estimator) over one shared snapshot. The Table-1
+//! baselines are not engine jobs; run them side by side on the same kind
+//! of worker pool:
 //!
 //! ```
 //! use degentri::engine::{parallel_estimate_triangles, Engine, EngineConfig, JobSpec};
 //! use degentri::prelude::*;
+//! use degentri::stream::run_indexed_pool;
 //!
 //! let graph = degentri::gen::wheel(2000).unwrap();
 //! let exact = degentri::graph::triangles::count_triangles(&graph);
@@ -87,13 +90,17 @@
 //! let mut engine = Engine::new(EngineConfig::with_workers(4));
 //! engine.submit(JobSpec::main("eps 0.15", config.clone()));
 //! engine.submit(JobSpec::ideal("oracle model", config));
-//! engine.submit(JobSpec::baseline(
-//!     "triest",
-//!     Box::new(degentri::baselines::TriestImpr::new(512, 3)),
-//! ));
 //! let report = engine.run(&stream).unwrap();
-//! assert_eq!(report.jobs.len(), 3);
+//! assert_eq!(report.jobs.len(), 2);
 //! assert!(report.stats.edges_per_second > 0.0);
+//!
+//! // Baselines, two at a time:
+//! let baselines: Vec<Box<dyn StreamingTriangleCounter + Send + Sync>> = vec![
+//!     Box::new(degentri::baselines::TriestImpr::new(512, 3)),
+//!     Box::new(degentri::baselines::ExactStreamCounter::new()),
+//! ];
+//! let outcomes = run_indexed_pool(2, baselines.len(), |i| baselines[i].estimate(&stream));
+//! assert_eq!(outcomes[1].estimate, exact as f64);
 //! ```
 //!
 //! # Quickstart: sharded passes
